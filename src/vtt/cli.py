@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "Cayley recognition.",
         epilog="Every flag has an environment override with the VTT_ prefix: "
                "VTT_FORMAT, VTT_BUDGET_BITS, VTT_AUT_CAP, VTT_WORKERS, VTT_MEMBERS. "
-               "Flags take precedence over the environment.")
+               "Flags take precedence over the environment. VTT_WORKERS/--workers "
+               "has no effect on the output or the work done.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
@@ -61,13 +62,17 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default: text)")
     common.add_argument("--budget-bits", type=int, metavar="B",
                         default=_env_default("BUDGET_BITS", enumeration.DEFAULT_BUDGET_BITS, int),
-                        help="mask-bit budget for explicit enumeration (default: %(default)s)")
+                        help="mask-bit budget for explicit enumeration: admits p with "
+                             "(p-1)/2 <= B; the orbit walk needs about 10 bytes per mask "
+                             "(default: %(default)s)")
     common.add_argument("--aut-cap", type=int, metavar="N",
                         default=_env_default("AUT_CAP", perm.DEFAULT_AUT_CAP, int),
                         help="vertex cap for full automorphism enumeration (default: %(default)s)")
     common.add_argument("--workers", type=int, metavar="W",
                         default=_env_default("WORKERS", 1, int),
-                        help="worker processes for enumeration (default: %(default)s)")
+                        help="accepted for compatibility and checked to be >= 1; has no "
+                             "effect, enumeration is a single serial orbit walk "
+                             "(default: %(default)s)")
 
     p_count = sub.add_parser("count", parents=[common],
                              help="exact class count for a prime or a prime range")
@@ -130,8 +135,7 @@ def cmd_classes(args) -> int:
     if args.format in ("tsv", "dot"):
         raise ValueError(f"format {args.format!r} is not supported for classes")
     report = enumeration.equivalence_classes(
-        args.prime, include_members=args.members,
-        budget_bits=args.budget_bits, workers=args.workers)
+        args.prime, include_members=args.members, budget_bits=args.budget_bits)
     for line in report.json_lines():
         print(line)
     return EXIT_OK
@@ -142,7 +146,7 @@ def cmd_verify(args) -> int:
         raise ValueError(f"format {args.format!r} is not supported for verify")
     formula = counting.class_count(args.prime)
     enumerated = enumeration.equivalence_classes(
-        args.prime, budget_bits=args.budget_bits, workers=args.workers).count
+        args.prime, budget_bits=args.budget_bits).count
     burnside = enumeration.burnside_count(args.prime)
     ok = formula == enumerated == burnside
     if args.format == "json":

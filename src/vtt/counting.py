@@ -13,10 +13,19 @@ the recursion performs is checked to be exact.
 from __future__ import annotations
 
 import json
+import math
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 
-from .errors import InconsistencyError
+from .errors import InconsistencyError, SizeLimitError
 from .groups import divisors, is_prime
+
+# Largest count printed in decimal.  int -> str conversion is quadratic in
+# CPython 3.11: 10^5 digits take about 0.2 s, 10^6 digits about 18 s.
+MAX_COUNT_DIGITS = 100_000
+# A count of at most this many bits is below 10^MAX_COUNT_DIGITS.
+_MAX_SAFE_BITS = int(MAX_COUNT_DIGITS * math.log2(10))
 
 
 @dataclass(frozen=True)
@@ -103,17 +112,41 @@ def count_table(p_min: int, p_max: int) -> list[tuple[int, int]]:
     if p_min > p_max:
         raise ValueError(f"empty range: {p_min} > {p_max}")
     rows = []
-    for p in range(max(3, p_min), p_max + 1, 2):
+    for p in range(max(3, p_min) | 1, p_max + 1, 2):
         if is_prime(p):
             rows.append((p, class_count(p)))
     return rows
 
 
+@contextmanager
+def _int_str_digits(limit: int):
+    """Let int <-> str conversions run up to `limit` digits, then restore.
+
+    Python before 3.10.7 has no such limit and nothing to set."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def format_count_table(rows: list[tuple[int, int]], fmt: str = "tsv") -> str:
-    """Render count rows; counts always in decimal, output byte-deterministic."""
-    if fmt in ("tsv", "text"):
+    """Render count rows; counts always in decimal, output byte-deterministic.
+
+    A count of more than MAX_COUNT_DIGITS digits raises SizeLimitError before
+    anything is converted."""
+    if fmt not in ("tsv", "text", "json"):
+        raise ValueError(f"unknown count table format {fmt!r}")
+    for p, count in rows:
+        if count.bit_length() > _MAX_SAFE_BITS and count >= 10 ** MAX_COUNT_DIGITS:
+            raise SizeLimitError(
+                f"the count for p={p} has more than {MAX_COUNT_DIGITS} decimal digits")
+    with _int_str_digits(MAX_COUNT_DIGITS):
+        if fmt == "json":
+            payload = [{"p": p, "count": count} for p, count in rows]
+            return json.dumps(payload, separators=(",", ":")) + "\n"
         return "".join(f"{p}\t{count}\n" for p, count in rows)
-    if fmt == "json":
-        payload = [{"p": p, "count": count} for p, count in rows]
-        return json.dumps(payload, separators=(",", ":")) + "\n"
-    raise ValueError(f"unknown count table format {fmt!r}")

@@ -4,21 +4,21 @@ A tournament set on Z_p picks one of {i, p-i} for each i in 1..(p-1)/2, so it
 packs into (p-1)/2 bits: bit i-1 set means i is in the set, clear means p-i
 is.  Multiplication by a unit permutes these choices; orbits of that action
 are exactly the isomorphism classes of the corresponding Cayley tournaments.
-This module enumerates the orbits explicitly (union-find over the full mask
-universe) and provides the Burnside fixed-point count as a second, formula
-independent oracle.
+Z_p^* is cyclic, so the orbits are those of a single primitive root; this
+module enumerates them explicitly (one walk per orbit over the full mask
+universe, with one visited byte per mask) and provides the Burnside
+fixed-point count as a second, formula independent oracle.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 from dataclasses import dataclass
 
 from .errors import InconsistencyError, SizeLimitError
-from .groups import generating_units, is_prime, mult_order, units
+from .groups import is_prime, mult_order, units
 
-DEFAULT_BUDGET_BITS = 30
+DEFAULT_BUDGET_BITS = 26
 
 _CHUNK_BITS = 8
 
@@ -180,80 +180,34 @@ class ClassReport:
         return lines
 
 
-def _edges_chunk(args: tuple[int, list[int], int, int]) -> list[int]:
-    """Worker: action images for masks in [lo, hi), flattened per generator."""
-    p, gens, lo, hi = args
-    images = []
-    for a in gens:
-        tables, flip_mask = _act_table(p, a)
-        images.extend(_apply(tables, flip_mask, bits) for bits in range(lo, hi))
-    return images
-
-
 def equivalence_classes(p: int, include_members: bool = False,
-                        budget_bits: int = DEFAULT_BUDGET_BITS,
-                        workers: int = 1) -> ClassReport:
+                        budget_bits: int = DEFAULT_BUDGET_BITS) -> ClassReport:
     """Orbits of the unit action, canonical representative = smallest mask.
 
-    Workers > 1 only parallelizes the embarrassingly parallel image
-    computation; the union-find merge runs in a fixed order, so output is
-    identical for any worker count.
+    Z_p^* is cyclic, so the orbits of one primitive root g are the orbits of
+    the whole unit group.  Masks are scanned in ascending order; an unvisited
+    mask is the smallest member of its orbit, which is walked under g until
+    it returns to the start, marking every mask on the way.
     """
     half = _check_enumerable(p, budget_bits)
     total = 1 << half
-    gens = generating_units(p)
-
-    parent = list(range(total))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            if rx > ry:
-                rx, ry = ry, rx
-            parent[ry] = rx
-
-    if workers > 1:
-        nchunks = min(workers * 4, total)
-        bounds = [(total * i // nchunks, total * (i + 1) // nchunks)
-                  for i in range(nchunks)]
-        with multiprocessing.Pool(workers) as pool:
-            results = pool.map(_edges_chunk, [(p, gens, lo, hi) for lo, hi in bounds])
-        for (lo, hi), images in zip(bounds, results):
-            width = hi - lo
-            for gi in range(len(gens)):
-                base = gi * width
-                for off in range(width):
-                    union(lo + off, images[base + off])
-    else:
-        for a in gens:
-            tables, flip_mask = _act_table(p, a)
-            for bits in range(total):
-                union(bits, _apply(tables, flip_mask, bits))
-
-    sizes: dict[int, int] = {}
-    members: dict[int, list[int]] = {}
-    order: list[int] = []
-    for bits in range(total):
-        root = find(bits)
-        if root not in sizes:
-            sizes[root] = 0
-            order.append(root)
-            if include_members:
-                members[root] = []
-        sizes[root] += 1
-        if include_members:
-            members[root].append(bits)
+    g = next(a for a in units(p) if mult_order(a, p) == p - 1)
+    tables, flip_mask = _act_table(p, g)
+    visited = bytearray(total)
 
     classes = []
-    for root in order:
-        mem = tuple(SetMask(p, b) for b in members[root]) if include_members else None
-        classes.append(ClassInfo(SetMask(p, root), sizes[root], mem))
+    for rep in range(total):
+        if visited[rep]:
+            continue
+        orbit = [rep]
+        visited[rep] = 1
+        bits = _apply(tables, flip_mask, rep)
+        while bits != rep:
+            orbit.append(bits)
+            visited[bits] = 1
+            bits = _apply(tables, flip_mask, bits)
+        mem = tuple(SetMask(p, b) for b in sorted(orbit)) if include_members else None
+        classes.append(ClassInfo(SetMask(p, rep), len(orbit), mem))
     return ClassReport(p, total, tuple(classes))
 
 

@@ -110,54 +110,6 @@ def left_cosets(subgroup: set[int], n: int) -> list[set[int]]:
     return cosets
 
 
-def _close_units(seed: set[int], n: int) -> set[int]:
-    closure = set(seed) | {1}
-    frontier = list(closure)
-    while frontier:
-        x = frontier.pop()
-        for y in tuple(closure):
-            z = x * y % n
-            if z not in closure:
-                closure.add(z)
-                frontier.append(z)
-    return closure
-
-
-def generating_units(n: int) -> list[int]:
-    """A small generating set of the unit group mod n, found by greedy closure.
-
-    Never assumes the unit group is cyclic; works for composite n as well.
-    """
-    gens: list[int] = []
-    closure = {1}
-    for a in units(n):
-        if a not in closure:
-            gens.append(a)
-            closure = _close_units(closure | {a}, n)
-    return gens
-
-
-@dataclass(frozen=True)
-class UnitGroup:
-    """The multiplicative group of units mod `modulus`."""
-
-    modulus: int
-    elements: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __contains__(self, a: int) -> bool:
-        return a in self.elements
-
-    def __iter__(self):
-        return iter(self.elements)
-
-
-def unit_group(n: int) -> UnitGroup:
-    return UnitGroup(n, tuple(units(n)))
-
-
 @dataclass(frozen=True)
 class AbelianGroup:
     """Direct product of cyclic groups; elements are residue tuples.

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from vtt import cli
+from vtt.counting import _int_str_digits, class_count
 from vtt.fixtures import run_all
 from vtt.graphs import cayley_digraph, petersen, to_edge_list
 from vtt.groups import cyclic
@@ -29,6 +30,25 @@ class TestCount:
         code, out, _ = run(capsys, "count", "7", "--format", "json")
         assert code == 0
         assert json.loads(out) == [{"p": 7, "count": 2}]
+
+    def test_range_with_even_lower_end(self, capsys):
+        code, out, _ = run(capsys, "count", "20000..20100")
+        assert code == 0
+        assert out == run(capsys, "count", "20001..20100")[1] != ""
+
+    @pytest.mark.parametrize("p", [28603, 100003])
+    def test_count_past_default_digit_limit(self, capsys, p):
+        code, out, _ = run(capsys, "count", str(p))
+        assert code == 0
+        with _int_str_digits(0):
+            assert out == f"{p}\t{class_count(p)}\n"
+
+    def test_count_past_digit_cap(self, capsys):
+        # the smallest prime whose count has more than 100,000 digits
+        code, out, err = run(capsys, "count", "664427")
+        assert code == 3
+        assert out == ""
+        assert "digits" in err
 
     def test_rejects_non_prime(self, capsys):
         code, _, err = run(capsys, "count", "4")
@@ -75,6 +95,15 @@ class TestClasses:
     def test_over_budget(self, capsys):
         code, _, err = run(capsys, "classes", "67")
         assert code == 3
+        assert "budget" in err
+
+    def test_default_budget_refuses_p59(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("enumeration started past the budget")
+        monkeypatch.setattr(cli.enumeration, "_act_table", fail)
+        code, out, err = run(capsys, "classes", "59")
+        assert code == 3
+        assert out == ""
         assert "budget" in err
 
     def test_worker_output_identical(self, capsys):

@@ -1,6 +1,9 @@
+import sys
+
 import pytest
 
 from vtt.counting import (
+    MAX_COUNT_DIGITS,
     class_count,
     count_result,
     count_table,
@@ -8,6 +11,7 @@ from vtt.counting import (
     phi_table,
 )
 from vtt.enumeration import equivalence_classes
+from vtt.errors import SizeLimitError
 
 # the full results table for odd primes up to 83
 KNOWN_COUNTS = {
@@ -106,6 +110,10 @@ class TestCountTable:
     def test_skips_non_primes(self):
         assert count_table(8, 10) == []
 
+    def test_even_lower_end(self):
+        assert count_table(4, 11) == [(5, 1), (7, 2), (11, 4)]
+        assert count_table(20000, 20100) == count_table(20001, 20100) != []
+
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             count_table(13, 3)
@@ -118,3 +126,16 @@ class TestCountTable:
             '[{"p":3,"count":1},{"p":5,"count":1},{"p":7,"count":2}]\n')
         with pytest.raises(ValueError):
             format_count_table(rows, "xml")
+
+    def test_digit_cap(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+        assert format_count_table([(3, 10 ** MAX_COUNT_DIGITS - 1)]).endswith("9\n")
+        with pytest.raises(SizeLimitError):
+            format_count_table([(3, 1), (5, 10 ** MAX_COUNT_DIGITS)], "json")
+        assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    def test_without_a_digit_limit(self, monkeypatch):
+        # Python before 3.10.7 has neither the limit nor its setter.
+        monkeypatch.delattr(sys, "set_int_max_str_digits", raising=False)
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+        assert format_count_table([(7, 2)]) == "7\t2\n"

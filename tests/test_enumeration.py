@@ -166,11 +166,24 @@ class TestEquivalenceClasses:
         assert [c.rep.bits for c in report.classes] == sorted(
             c.rep.bits for c in report.classes)
 
-    def test_worker_count_does_not_change_output(self):
-        seq = equivalence_classes(11, include_members=True, workers=1)
-        par = equivalence_classes(11, include_members=True, workers=3)
-        assert seq == par
-        assert seq.json_lines() == par.json_lines()
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+    def test_orbits_of_the_whole_unit_group(self, p):
+        # Orbits under every unit through the public act(), independent of
+        # the single primitive root the enumeration walks with.
+        half = (p - 1) // 2
+        seen = set()
+        expected = []
+        for bits in range(1 << half):
+            if bits in seen:
+                continue
+            s = SetMask(p, bits)
+            orbit = sorted({act(a, s).bits for a in units(p)})
+            assert orbit[0] == bits
+            seen.update(orbit)
+            expected.append((bits, len(orbit), orbit))
+        report = equivalence_classes(p, include_members=True)
+        assert [(c.rep.bits, c.size, [m.bits for m in c.members])
+                for c in report.classes] == expected
 
     def test_json_lines(self):
         report = equivalence_classes(3)

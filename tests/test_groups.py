@@ -7,11 +7,9 @@ from vtt.groups import (
     cyclic,
     cyclic_subgroup,
     divisors,
-    generating_units,
     is_prime,
     left_cosets,
     mult_order,
-    unit_group,
     units,
 )
 
@@ -107,28 +105,6 @@ def test_is_prime():
     primes = [2, 3, 5, 7, 11, 13, 331]
     assert all(is_prime(p) for p in primes)
     assert not any(is_prime(n) for n in (-3, 0, 1, 4, 9, 15, 25, 121))
-
-
-def test_unit_group():
-    ug = unit_group(10)
-    assert ug.elements == (1, 3, 7, 9)
-    assert len(ug) == 4
-    assert 3 in ug
-
-
-@pytest.mark.parametrize("n", [7, 12, 25, 31])
-def test_generating_units_generate_everything(n):
-    gens = generating_units(n)
-    closure = {1}
-    frontier = list(gens)
-    while frontier:
-        x = frontier.pop()
-        for y in list(closure) + [x]:
-            z = x * y % n
-            if z not in closure:
-                closure.add(z)
-                frontier.append(z)
-    assert closure == set(units(n))
 
 
 class TestAbelianGroup:
