@@ -1,7 +1,7 @@
 """Vertex-transitive tournaments of prime order: exact counting, explicit
 enumeration with canonical representatives, and cross-validating oracles."""
 
-from .counting import CountResult, PhiTable, class_count, count_result, count_table
+from .counting import PhiTable, class_count, count_table
 from .enumeration import (
     ClassReport,
     SetMask,
@@ -14,10 +14,8 @@ from .enumeration import (
 )
 from .errors import InconsistencyError, SizeLimitError
 from .graphs import (
-    ConnectionSet,
     Digraph,
     cayley_digraph,
-    connection_set,
     coset_saturated,
     cycle,
     is_tournament,

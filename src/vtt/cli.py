@@ -63,11 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget-bits", type=int, metavar="B",
                         default=_env_default("BUDGET_BITS", enumeration.DEFAULT_BUDGET_BITS, int),
                         help="mask-bit budget for explicit enumeration: admits p with "
-                             "(p-1)/2 <= B; the orbit walk needs about 10 bytes per mask "
-                             "(default: %(default)s)")
+                             f"(p-1)/2 <= B, or <= B-{enumeration.MEMBERS_EXTRA_BITS} with "
+                             "--members; the orbit walk needs about 10 bytes per mask, "
+                             "member lists about 205 (default: %(default)s)")
     common.add_argument("--aut-cap", type=int, metavar="N",
                         default=_env_default("AUT_CAP", perm.DEFAULT_AUT_CAP, int),
-                        help="vertex cap for full automorphism enumeration (default: %(default)s)")
+                        help="vertex cap for full automorphism enumeration; a group of more "
+                             f"than {perm.MAX_AUT_ELEMENTS:,} elements also exits 3 "
+                             "(default: %(default)s)")
     common.add_argument("--workers", type=int, metavar="W",
                         default=_env_default("WORKERS", 1, int),
                         help="accepted for compatibility and checked to be >= 1; has no "

@@ -56,13 +56,6 @@ class PhiTable:
         return self.entries[1][0]
 
 
-@dataclass(frozen=True)
-class CountResult:
-    p: int
-    class_count: int
-    table: PhiTable
-
-
 def _check_odd_prime(p: int) -> None:
     if p < 3 or not is_prime(p):
         raise ValueError(f"{p} is not an odd prime")
@@ -100,11 +93,6 @@ def phi_table(p: int) -> PhiTable:
 def class_count(p: int) -> int:
     """Number of isomorphism classes of vertex-transitive tournaments of order p."""
     return phi_table(p).class_count
-
-
-def count_result(p: int) -> CountResult:
-    table = phi_table(p)
-    return CountResult(p, table.class_count, table)
 
 
 def count_table(p_min: int, p_max: int) -> list[tuple[int, int]]:

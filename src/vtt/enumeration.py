@@ -14,13 +14,22 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 
 from .errors import InconsistencyError, SizeLimitError
 from .groups import is_prime, mult_order, units
 
 DEFAULT_BUDGET_BITS = 26
+# Member lists take about 205 bytes per mask against the walk's 10, so
+# --members admits p with (p-1)/2 <= budget_bits - MEMBERS_EXTRA_BITS.
+MEMBERS_EXTRA_BITS = 4
 
 _CHUNK_BITS = 8
+
+
+@cache
+def _is_odd_prime(p: int) -> bool:
+    return p >= 3 and is_prime(p)
 
 
 @dataclass(frozen=True)
@@ -31,7 +40,7 @@ class SetMask:
     bits: int
 
     def __post_init__(self) -> None:
-        if self.p < 3 or not is_prime(self.p):
+        if not _is_odd_prime(self.p):
             raise ValueError(f"{self.p} is not an odd prime")
         if not 0 <= self.bits < 1 << ((self.p - 1) // 2):
             raise ValueError(f"mask {self.bits:#x} out of range for p={self.p}")
@@ -61,13 +70,17 @@ class SetMask:
         return cls(p, bits)
 
 
-def _check_enumerable(p: int, budget_bits: int) -> int:
-    if p < 3 or not is_prime(p):
+def _check_enumerable(p: int, budget_bits: int, members: bool = False) -> int:
+    if not _is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     half = (p - 1) // 2
     if half > budget_bits:
         raise SizeLimitError(
             f"p={p} needs {half} mask bits, over the budget of {budget_bits}")
+    if members and half > budget_bits - MEMBERS_EXTRA_BITS:
+        raise SizeLimitError(
+            f"p={p} needs {half} mask bits, over the budget of {budget_bits} less "
+            f"{MEMBERS_EXTRA_BITS} for member lists")
     return half
 
 
@@ -189,7 +202,7 @@ def equivalence_classes(p: int, include_members: bool = False,
     mask is the smallest member of its orbit, which is walked under g until
     it returns to the start, marking every mask on the way.
     """
-    half = _check_enumerable(p, budget_bits)
+    half = _check_enumerable(p, budget_bits, include_members)
     total = 1 << half
     g = next(a for a in units(p) if mult_order(a, p) == p - 1)
     tables, flip_mask = _act_table(p, g)
@@ -217,7 +230,7 @@ def burnside_count(p: int) -> int:
     A unit of even order fixes nothing (its cyclic subgroup contains -1);
     a unit of odd order d fixes exactly 2^((p-1)/(2d)) sets.
     """
-    if p < 3 or not is_prime(p):
+    if not _is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     total = 0
     for a in units(p):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
-from .groups import AbelianGroup, Element, cyclic
+from .groups import AbelianGroup, cyclic
 from .groups import units as unit_list
 
 
@@ -94,41 +94,9 @@ def _bits_to_list(bits: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class ConnectionSet:
-    """Non-identity subset of a group, defining a Cayley digraph."""
-
-    group: AbelianGroup
-    members: frozenset[Element]
-
-    def negated(self) -> frozenset[Element]:
-        return frozenset(self.group.neg(x) for x in self.members)
-
-    def is_tournament_set(self) -> bool:
-        return validate_tournament_set(self.group, self.members)
-
-    def is_graph_set(self) -> bool:
-        return self.members == self.negated()
-
-
-def connection_set(group: AbelianGroup, members) -> ConnectionSet:
-    mem = frozenset(group.coerce(x) for x in members)
-    if group.identity in mem:
-        raise ValueError("invalid connection set: contains the identity")
-    return ConnectionSet(group, mem)
-
-
-def _members_of(group: AbelianGroup, s) -> frozenset[Element]:
-    if isinstance(s, ConnectionSet):
-        if s.group != group:
-            raise ValueError("connection set belongs to a different group")
-        return s.members
-    return frozenset(group.coerce(x) for x in s)
-
-
 def cayley_digraph(group: AbelianGroup, s) -> Digraph:
     """Digraph on the group's elements with an arc g -> h iff h - g is in s."""
-    members = _members_of(group, s)
+    members = frozenset(group.coerce(x) for x in s)
     if group.identity in members:
         raise ValueError("invalid connection set: contains the identity")
     n = group.order
@@ -149,7 +117,7 @@ def validate_tournament_set(group: AbelianGroup, s) -> bool:
     resulting Cayley digraph is a tournament.  Always false on groups of even
     order, where some element equals its own negative.
     """
-    members = _members_of(group, s)
+    members = frozenset(group.coerce(x) for x in s)
     if group.identity in members:
         return False
     neg = frozenset(group.neg(x) for x in members)
@@ -255,9 +223,6 @@ def wreath_product(g: Digraph, h: Digraph) -> Digraph:
     return Digraph(n, tuple(adj))
 
 
-lexicographic_product = wreath_product
-
-
 @dataclass(frozen=True)
 class TriangleProfile:
     """Directed 3-cycle counts through each arc of a tournament.
@@ -291,7 +256,7 @@ def coset_saturated(group: AbelianGroup, s, subgroup) -> bool:
     the coset condition a connection set must satisfy for the digraph to be
     expressible as a wreath product over that subgroup.
     """
-    members = _members_of(group, s)
+    members = frozenset(group.coerce(x) for x in s)
     sub = frozenset(group.coerce(x) for x in subgroup)
     for x in sub:
         for y in sub:

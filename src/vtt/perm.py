@@ -17,6 +17,8 @@ from .graphs import Digraph
 Permutation = tuple[int, ...]
 
 DEFAULT_AUT_CAP = 16
+# Most automorphisms enumerated before giving up; C5[C3] has 77,760.
+MAX_AUT_ELEMENTS = 100_000
 
 
 def identity_perm(n: int) -> Permutation:
@@ -150,6 +152,9 @@ def _search_isomorphisms(g: Digraph, h: Digraph, find_all: bool) -> list[Permuta
     def place(u: int) -> bool:
         if u == n:
             found.append(tuple(mapping))
+            if find_all and len(found) > MAX_AUT_ELEMENTS:
+                raise SizeLimitError(
+                    f"more than {MAX_AUT_ELEMENTS} automorphisms, enumeration stopped")
             return not find_all
         for w in candidates[u]:
             if used[w]:
@@ -236,38 +241,35 @@ def burnside_orbit_count(group: PermGroup, n: int) -> int:
 def find_regular_subgroup(aut: PermGroup, n: int) -> PermGroup | None:
     """A transitive subgroup of order n with trivial stabilizers, if any.
 
-    Searches closures of fixed-point-free elements: in a regular group every
-    non-identity element is fixed-point-free and has order dividing n, which
-    prunes the candidate pool hard.
+    In a regular group every non-identity element is fixed-point-free and has
+    order dividing n, which prunes the candidate pool hard.  Each step extends
+    the current closure by an element taking 0 to the smallest vertex it does
+    not reach yet; a regular group holds exactly one such element, so
+    branching on these alone misses none.
     """
     ident = identity_perm(n)
     pool = sorted(p for p in aut
                   if p != ident and fixed_points(p) == 0 and n % perm_order(p) == 0)
     allowed = frozenset(pool) | {ident}
-    seen: set[frozenset[Permutation]] = set()
+    taking_0_to: list[list[Permutation]] = [[] for _ in range(n)]
+    for p in pool:
+        taking_0_to[p[0]].append(p)
 
-    def extend(current: frozenset[Permutation], start: int) -> frozenset[Permutation] | None:
+    def extend(current: set[Permutation]) -> set[Permutation] | None:
         if len(current) == n:
             return current
-        for idx in range(start, len(pool)):
-            p = pool[idx]
-            if p in current:
-                continue
-            closed = _close(set(current) | {p}, limit=n, allowed=allowed)
+        reached = {p[0] for p in current}
+        target = next(v for v in range(n) if v not in reached)
+        for p in taking_0_to[target]:
+            closed = _close(current | {p}, limit=n, allowed=allowed)
             if closed is None or n % len(closed):
                 continue
-            key = frozenset(closed)
-            if key in seen:
-                continue
-            seen.add(key)
-            result = extend(key, idx + 1)
+            result = extend(closed)
             if result is not None:
                 return result
         return None
 
-    if n == 1:
-        return PermGroup(1, (ident,))
-    hit = extend(frozenset({ident}), 0)
+    hit = extend({ident})
     if hit is None:
         return None
     sub = PermGroup(n, tuple(sorted(hit)))

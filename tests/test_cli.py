@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -106,6 +107,15 @@ class TestClasses:
         assert out == ""
         assert "budget" in err
 
+    def test_default_budget_refuses_members_at_p53(self, capsys, monkeypatch):
+        def fail(*args):
+            raise AssertionError("enumeration started past the budget")
+        monkeypatch.setattr(cli.enumeration, "_act_table", fail)
+        code, out, err = run(capsys, "classes", "53", "--members")
+        assert code == 3
+        assert out == ""
+        assert "budget" in err
+
     def test_worker_output_identical(self, capsys):
         _, seq, _ = run(capsys, "classes", "11", "--workers", "1")
         _, par, _ = run(capsys, "classes", "11", "--workers", "2")
@@ -190,6 +200,21 @@ class TestRecognize:
         assert code == 3
         code, out, _ = run(capsys, "recognize", str(path), "--aut-cap", "17")
         assert code == 0
+
+    @pytest.mark.parametrize("header,edges", [
+        ("digraph 16", ""),
+        ("graph 16", "".join(f"{u} {v}\n" for u in range(16) for v in range(u + 1, 16))),
+    ], ids=["empty", "complete"])
+    def test_automorphism_ceiling(self, capsys, tmp_path, header, edges):
+        # the empty and complete graphs on 16 vertices have 16! automorphisms
+        path = tmp_path / "g16.txt"
+        path.write_text(f"{header}\n{edges}")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "recognize", str(path))
+        assert time.perf_counter() - start < 10
+        assert code == 3
+        assert out == ""
+        assert "automorphisms" in err
 
     def test_dot_passthrough(self, capsys, tmp_path):
         path = tmp_path / "tri.txt"

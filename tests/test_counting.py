@@ -5,7 +5,6 @@ import pytest
 from vtt.counting import (
     MAX_COUNT_DIGITS,
     class_count,
-    count_result,
     count_table,
     format_count_table,
     phi_table,
@@ -75,12 +74,6 @@ class TestClassCount:
         for p in (3, 5, 7, 11, 13, 31, 83, 331):
             c = class_count(p)
             assert 1 <= c <= 1 << ((p - 1) // 2)
-
-    def test_count_result(self):
-        res = count_result(83)
-        assert res.p == 83
-        assert res.class_count == 26817356776
-        assert res.table.class_count == res.class_count
 
 
 def test_mass_conservation_up_to_200():

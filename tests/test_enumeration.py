@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from vtt import enumeration, groups
 from vtt.enumeration import (
     ClassReport,
     SetMask,
@@ -36,6 +37,13 @@ class TestSetMask:
         with pytest.raises(ValueError):
             SetMask.from_members(11, {1, 2, 3, 4})
 
+    def test_primality_checked_once_per_p(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(enumeration, "is_prime", lambda p: calls.append(p) or groups.is_prime(p))
+        enumeration._is_odd_prime.cache_clear()
+        assert equivalence_classes(13, include_members=True).count == 6
+        assert calls == [13]
+
     def test_mask_validation(self):
         with pytest.raises(ValueError):
             SetMask(9, 0)
@@ -65,6 +73,12 @@ class TestAllSets:
         with pytest.raises(SizeLimitError):
             list(all_sets(67))
         assert len(list(all_sets(7, budget_bits=3))) == 8
+
+    def test_members_budget(self):
+        assert equivalence_classes(7, include_members=True, budget_bits=7).count == 2
+        with pytest.raises(SizeLimitError, match="member lists"):
+            equivalence_classes(7, include_members=True, budget_bits=6)
+        assert equivalence_classes(7, budget_bits=3).count == 2
 
 
 class TestAct:

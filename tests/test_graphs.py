@@ -7,7 +7,6 @@ import pytest
 from vtt.graphs import (
     Digraph,
     cayley_digraph,
-    connection_set,
     coset_saturated,
     cycle,
     export,
@@ -77,7 +76,7 @@ def test_cayley_rejects_identity():
     with pytest.raises(ValueError):
         cayley_digraph(cyclic(5), {0, 1})
     with pytest.raises(ValueError):
-        connection_set(Z33, {(0, 0)})
+        cayley_digraph(Z33, {(0, 0)})
 
 
 def test_validate_tournament_set():

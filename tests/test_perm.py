@@ -3,8 +3,9 @@ import random
 import pytest
 
 from vtt.errors import InconsistencyError, SizeLimitError
-from vtt.graphs import Digraph, cayley_digraph, cycle, k_cube, petersen, relabel
+from vtt.graphs import Digraph, cayley_digraph, cycle, k_cube, kneser, petersen, relabel
 from vtt.groups import AbelianGroup, cyclic
+from vtt import perm
 from vtt.perm import (
     PermGroup,
     automorphisms,
@@ -113,6 +114,13 @@ class TestAutomorphisms:
             automorphisms(big)
         automorphisms(cycle(17), cap=17)  # explicit cap raise is allowed
 
+    def test_element_ceiling(self, monkeypatch):
+        monkeypatch.setattr(perm, "MAX_AUT_ELEMENTS", 120)
+        assert len(automorphisms(petersen())) == 120
+        monkeypatch.setattr(perm, "MAX_AUT_ELEMENTS", 119)
+        with pytest.raises(SizeLimitError, match="119"):
+            automorphisms(petersen())
+
 
 class TestOrbits:
     def test_trivial_group(self):
@@ -205,6 +213,18 @@ class TestRegularSubgroup:
         # the classic obstruction: every involution fixes a vertex
         involutions = [p for p in aut if perm_order(p) == 2]
         assert involutions and all(fixed_points(p) > 0 for p in involutions)
+
+    def test_kneser_6_2_is_not_cayley(self):
+        # K(6,2) is vertex-transitive, but no subgroup of S_6 acts regularly on its 15 vertices
+        g = kneser(6, 2, 0)
+        aut = automorphisms(g)
+        assert len(aut) == 720
+        assert orbits(aut, 15) == [list(range(15))]
+        assert find_regular_subgroup(aut, 15) is None
+
+    def test_one_vertex_is_cayley(self):
+        reg = is_cayley(Digraph(1, (0,)))
+        assert reg.elements == ((0,),)
 
     def test_non_transitive_graph(self):
         # path 0 -> 1 -> 2: only the identity automorphism, no regular subgroup
