@@ -30,18 +30,15 @@ ENV_PREFIX = "VTT_"
 
 
 def _env_default(name: str, fallback, cast=str):
+    """VTT_<name> through cast, or fallback if unset; exit 2 if cast raises."""
     raw = os.environ.get(ENV_PREFIX + name)
     if raw is None:
         return fallback
     try:
         return cast(raw)
-    except ValueError:
+    except (KeyError, ValueError):
         print(f"error: bad value {raw!r} for {ENV_PREFIX}{name}", file=sys.stderr)
         raise SystemExit(EXIT_BAD_INPUT)
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(ENV_PREFIX + name, "").lower() in ("1", "true", "yes", "on")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -57,15 +54,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "tsv", "json", "dot"),
-                        default=_env_default("FORMAT", "text"),
+    formats = {f: f for f in ("text", "tsv", "json", "dot")}
+    common.add_argument("--format", choices=tuple(formats),
+                        default=_env_default("FORMAT", "text", formats.__getitem__),
                         help="output format (default: text)")
     common.add_argument("--budget-bits", type=int, metavar="B",
                         default=_env_default("BUDGET_BITS", enumeration.DEFAULT_BUDGET_BITS, int),
                         help="mask-bit budget for explicit enumeration: admits p with "
-                             f"(p-1)/2 <= B, or <= B-{enumeration.MEMBERS_EXTRA_BITS} with "
-                             "--members; the orbit walk needs about 10 bytes per mask, "
-                             "member lists about 205 (default: %(default)s)")
+                             "(p-1)/2 <= B; the orbit walk needs about 10 bytes per mask "
+                             "(default: %(default)s)")
     common.add_argument("--aut-cap", type=int, metavar="N",
                         default=_env_default("AUT_CAP", perm.DEFAULT_AUT_CAP, int),
                         help="vertex cap for full automorphism enumeration; a group of more "
@@ -81,11 +78,13 @@ def build_parser() -> argparse.ArgumentParser:
                              help="exact class count for a prime or a prime range")
     p_count.add_argument("prime", help="an odd prime P, or a range LO..HI")
 
+    switch = dict.fromkeys(("1", "true", "yes", "on"), True)
+    switch.update(dict.fromkeys(("0", "false", "no", "off"), False))
     p_classes = sub.add_parser("classes", parents=[common],
                                help="enumerate the classes with canonical representatives")
     p_classes.add_argument("prime", type=int, help="an odd prime within the bit budget")
     p_classes.add_argument("--members", action="store_true",
-                           default=_env_flag("MEMBERS"),
+                           default=_env_default("MEMBERS", False, lambda raw: switch[raw.lower()]),
                            help="include the full member list of every class")
 
     p_verify = sub.add_parser("verify", parents=[common],

@@ -7,12 +7,14 @@ are exactly the isomorphism classes of the corresponding Cayley tournaments.
 Z_p^* is cyclic, so the orbits are those of a single primitive root; this
 module enumerates them explicitly (one walk per orbit over the full mask
 universe, with one visited byte per mask) and provides the Burnside
-fixed-point count as a second, formula independent oracle.
+fixed-point count as a second, formula independent oracle.  A class keeps only
+its smallest mask and size; its members are walked again when asked for.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
 
@@ -20,9 +22,6 @@ from .errors import InconsistencyError, SizeLimitError
 from .groups import is_prime, mult_order, units
 
 DEFAULT_BUDGET_BITS = 26
-# Member lists take about 205 bytes per mask against the walk's 10, so
-# --members admits p with (p-1)/2 <= budget_bits - MEMBERS_EXTRA_BITS.
-MEMBERS_EXTRA_BITS = 4
 
 _CHUNK_BITS = 8
 
@@ -48,10 +47,8 @@ class SetMask:
     def members(self) -> tuple[int, ...]:
         """The set members as sorted residues in [1, p)."""
         half = (self.p - 1) // 2
-        out = []
-        for i in range(1, half + 1):
-            out.append(i if self.bits >> (i - 1) & 1 else self.p - i)
-        return tuple(sorted(out))
+        return tuple(sorted(i if self.bits >> (i - 1) & 1 else self.p - i
+                            for i in range(1, half + 1)))
 
     @classmethod
     def from_members(cls, p: int, members) -> "SetMask":
@@ -70,17 +67,13 @@ class SetMask:
         return cls(p, bits)
 
 
-def _check_enumerable(p: int, budget_bits: int, members: bool = False) -> int:
+def _check_enumerable(p: int, budget_bits: int) -> int:
     if not _is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
     half = (p - 1) // 2
     if half > budget_bits:
         raise SizeLimitError(
             f"p={p} needs {half} mask bits, over the budget of {budget_bits}")
-    if members and half > budget_bits - MEMBERS_EXTRA_BITS:
-        raise SizeLimitError(
-            f"p={p} needs {half} mask bits, over the budget of {budget_bits} less "
-            f"{MEMBERS_EXTRA_BITS} for member lists")
     return half
 
 
@@ -97,6 +90,8 @@ def _act_table(p: int, a: int) -> tuple[list[list[int]], int]:
     Returns (chunk_tables, flip_mask): applying the action to `bits` is
     OR-of-table-lookups over 8-bit chunks, XORed with flip_mask.
     """
+    if a % p == 0:
+        raise ValueError("multiplier must be nonzero mod p")
     half = (p - 1) // 2
     moves = []
     flip_mask = 0
@@ -131,11 +126,22 @@ def _apply(tables: list[list[int]], flip_mask: int, bits: int) -> int:
     return out ^ flip_mask
 
 
+@cache
+def _generator_table(p: int) -> tuple[list[list[int]], int]:
+    return _act_table(p, next(a for a in units(p) if mult_order(a, p) == p - 1))
+
+
+def _orbit(p: int, rep: int) -> list[int]:
+    """The orbit of mask rep under the primitive root, in walk order from rep."""
+    tables, flip_mask = _generator_table(p)
+    orbit = [rep]
+    while (bits := _apply(tables, flip_mask, orbit[-1])) != rep:
+        orbit.append(bits)
+    return orbit
+
+
 def act(a: int, s: SetMask) -> SetMask:
     """The set {a*x mod p | x in s}, renormalized to the choice-bit encoding."""
-    a %= s.p
-    if a == 0:
-        raise ValueError("multiplier must be nonzero mod p")
     tables, flip_mask = _act_table(s.p, a)
     return SetMask(s.p, _apply(tables, flip_mask, s.bits))
 
@@ -153,9 +159,6 @@ def unit_multiplier(n: int, s, t) -> int | None:
 def invariant_sets(p: int, a: int, budget_bits: int = DEFAULT_BUDGET_BITS) -> list[SetMask]:
     """All tournament sets fixed by multiplication with a, ascending by mask."""
     half = _check_enumerable(p, budget_bits)
-    a %= p
-    if a == 0:
-        raise ValueError("multiplier must be nonzero mod p")
     tables, flip_mask = _act_table(p, a)
     return [SetMask(p, bits) for bits in range(1 << half)
             if _apply(tables, flip_mask, bits) == bits]
@@ -165,7 +168,14 @@ def invariant_sets(p: int, a: int, budget_bits: int = DEFAULT_BUDGET_BITS) -> li
 class ClassInfo:
     rep: SetMask
     size: int
-    members: tuple[SetMask, ...] | None = None
+    listed: bool = False
+
+    @property
+    def members(self) -> tuple[SetMask, ...] | None:
+        """The whole class ascending by mask if listed, else None; walked on each call."""
+        if not self.listed:
+            return None
+        return tuple(SetMask(self.rep.p, b) for b in sorted(_orbit(self.rep.p, self.rep.bits)))
 
 
 @dataclass(frozen=True)
@@ -183,44 +193,36 @@ class ClassReport:
     def sizes(self) -> tuple[int, ...]:
         return tuple(sorted(c.size for c in self.classes))
 
-    def json_lines(self) -> list[str]:
-        lines = []
+    def json_lines(self) -> Iterator[str]:
+        """One JSON line per class, produced as it is iterated."""
         for c in self.classes:
             record: dict = {"p": self.p, "rep": list(c.rep.members()), "size": c.size}
-            if c.members is not None:
+            if c.listed:
                 record["members"] = [list(m.members()) for m in c.members]
-            lines.append(json.dumps(record, separators=(",", ":")))
-        return lines
+            yield json.dumps(record, separators=(",", ":"))
 
 
 def equivalence_classes(p: int, include_members: bool = False,
                         budget_bits: int = DEFAULT_BUDGET_BITS) -> ClassReport:
     """Orbits of the unit action, canonical representative = smallest mask.
 
-    Z_p^* is cyclic, so the orbits of one primitive root g are the orbits of
+    Z_p^* is cyclic, so the orbits of one primitive root are the orbits of
     the whole unit group.  Masks are scanned in ascending order; an unvisited
-    mask is the smallest member of its orbit, which is walked under g until
-    it returns to the start, marking every mask on the way.
+    mask is the smallest member of its orbit, which is walked until it
+    returns to the start, marking every mask on the way.
     """
-    half = _check_enumerable(p, budget_bits, include_members)
+    half = _check_enumerable(p, budget_bits)
     total = 1 << half
-    g = next(a for a in units(p) if mult_order(a, p) == p - 1)
-    tables, flip_mask = _act_table(p, g)
     visited = bytearray(total)
 
     classes = []
     for rep in range(total):
         if visited[rep]:
             continue
-        orbit = [rep]
-        visited[rep] = 1
-        bits = _apply(tables, flip_mask, rep)
-        while bits != rep:
-            orbit.append(bits)
+        orbit = _orbit(p, rep)
+        for bits in orbit:
             visited[bits] = 1
-            bits = _apply(tables, flip_mask, bits)
-        mem = tuple(SetMask(p, b) for b in sorted(orbit)) if include_members else None
-        classes.append(ClassInfo(SetMask(p, rep), len(orbit), mem))
+        classes.append(ClassInfo(SetMask(p, rep), len(orbit), include_members))
     return ClassReport(p, total, tuple(classes))
 
 

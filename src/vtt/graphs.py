@@ -31,9 +31,8 @@ class Digraph:
             raise ValueError("digraph needs at least one vertex")
         if len(self.adj) != self.n:
             raise ValueError("adjacency length does not match vertex count")
-        full = (1 << self.n) - 1
         for v, bits in enumerate(self.adj):
-            if bits & ~full:
+            if bits >> self.n:
                 raise ValueError(f"adjacency bits of vertex {v} out of range")
             if bits >> v & 1:
                 raise ValueError(f"loop at vertex {v}")

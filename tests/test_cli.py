@@ -1,5 +1,8 @@
 import json
+import os
+import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -107,14 +110,27 @@ class TestClasses:
         assert out == ""
         assert "budget" in err
 
-    def test_default_budget_refuses_members_at_p53(self, capsys, monkeypatch):
+    def test_default_budget_refuses_members_at_p59(self, capsys, monkeypatch):
         def fail(*args):
             raise AssertionError("enumeration started past the budget")
         monkeypatch.setattr(cli.enumeration, "_act_table", fail)
-        code, out, err = run(capsys, "classes", "53", "--members")
+        code, out, err = run(capsys, "classes", "59", "--members")
         assert code == 3
         assert out == ""
         assert "budget" in err
+
+    def test_members_stream_one_orbit_at_a_time(self, monkeypatch):
+        # 2^15 masks at p = 31; holding every member list at once costs over 150 B per mask
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = cli.main(["classes", "31", "--members"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak / (1 << 15) < 40
 
     def test_worker_output_identical(self, capsys):
         _, seq, _ = run(capsys, "classes", "11", "--workers", "1")
@@ -125,6 +141,9 @@ class TestClasses:
         monkeypatch.setenv("VTT_MEMBERS", "1")
         _, out, _ = run(capsys, "classes", "3")
         assert "members" in out
+        monkeypatch.setenv("VTT_MEMBERS", "Off")
+        _, out, _ = run(capsys, "classes", "3")
+        assert out == '{"p":3,"rep":[2],"size":2}\n'
 
 
 class TestVerify:
@@ -216,6 +235,16 @@ class TestRecognize:
         assert out == ""
         assert "automorphisms" in err
 
+    def test_huge_vertex_count_exits_quickly(self, capsys, tmp_path):
+        # building the digraph must stay linear in n before the vertex cap is hit
+        path = tmp_path / "huge.txt"
+        path.write_text("digraph 1000000\n0 1\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "recognize", str(path))
+        assert time.perf_counter() - start < 5
+        assert code == 3
+        assert out == ""
+
     def test_dot_passthrough(self, capsys, tmp_path):
         path = tmp_path / "tri.txt"
         path.write_text("digraph 3\n0 1\n1 2\n2 0\n")
@@ -263,3 +292,22 @@ class TestBadFlags:
         with pytest.raises(SystemExit) as exc:
             cli.main(["classes", "7"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [["verify", "7"], ["classes", "7"], ["fixtures"]])
+    def test_bad_env_format(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("VTT_FORMAT", "xml")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "VTT_FORMAT" in captured.err
+
+    def test_bad_env_members(self, capsys, monkeypatch):
+        monkeypatch.setenv("VTT_MEMBERS", "maybe")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["classes", "7"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "VTT_MEMBERS" in captured.err

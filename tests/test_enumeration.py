@@ -74,10 +74,13 @@ class TestAllSets:
             list(all_sets(67))
         assert len(list(all_sets(7, budget_bits=3))) == 8
 
-    def test_members_budget(self):
-        assert equivalence_classes(7, include_members=True, budget_bits=7).count == 2
-        with pytest.raises(SizeLimitError, match="member lists"):
-            equivalence_classes(7, include_members=True, budget_bits=6)
+    def test_members_need_no_extra_budget(self):
+        # member lists are walked again on demand, so they cost no mask bits
+        report = equivalence_classes(7, include_members=True, budget_bits=3)
+        assert report.count == 2
+        assert sorted(m.bits for c in report.classes for m in c.members) == list(range(8))
+        with pytest.raises(SizeLimitError):
+            equivalence_classes(7, include_members=True, budget_bits=2)
         assert equivalence_classes(7, budget_bits=3).count == 2
 
 
@@ -158,6 +161,7 @@ class TestEquivalenceClasses:
         report = equivalence_classes(7)
         assert report.count == 2
         assert report.sizes() == (2, 6)
+        assert all(c.members is None for c in report.classes)
 
     def test_p11_structure(self):
         report = equivalence_classes(11, include_members=True)
@@ -201,9 +205,9 @@ class TestEquivalenceClasses:
 
     def test_json_lines(self):
         report = equivalence_classes(3)
-        assert report.json_lines() == ['{"p":3,"rep":[2],"size":2}']
+        assert list(report.json_lines()) == ['{"p":3,"rep":[2],"size":2}']
         with_members = equivalence_classes(3, include_members=True)
-        assert with_members.json_lines() == [
+        assert list(with_members.json_lines()) == [
             '{"p":3,"rep":[2],"size":2,"members":[[2],[1]]}']
 
 
