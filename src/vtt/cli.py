@@ -65,8 +65,10 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: %(default)s)")
     common.add_argument("--aut-cap", type=int, metavar="N",
                         default=_env_default("AUT_CAP", perm.DEFAULT_AUT_CAP, int),
-                        help="vertex cap for full automorphism enumeration; a group of more "
-                             f"than {perm.MAX_AUT_ELEMENTS:,} elements also exits 3 "
+                        help="vertex cap for automorphism search, checked on the graph "
+                             "file's header before the graph is built; a group of more "
+                             f"than {perm.MAX_AUT_ELEMENTS:,} elements also exits 3, checked "
+                             "against the group order before any element is built "
                              "(default: %(default)s)")
     common.add_argument("--workers", type=int, metavar="W",
                         default=_env_default("WORKERS", 1, int),
@@ -124,7 +126,10 @@ def cmd_count(args) -> int:
         raise ValueError("format 'dot' is not supported for count")
     target = _parse_prime_range(args.prime)
     if isinstance(target, int):
-        if target < 3 or target % 2 == 0 or not is_prime(target):
+        if target < 3 or target % 2 == 0:
+            raise ValueError(f"{target} is not an odd prime")
+        counting.check_digit_cap(target)  # before trial division, slow on huge p
+        if not is_prime(target):
             raise ValueError(f"{target} is not an odd prime")
         rows = [(target, counting.class_count(target))]
     else:
@@ -165,7 +170,7 @@ def cmd_recognize(args) -> int:
         text = Path(args.file).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {args.file}: {exc}")
-    g = graphs.parse_graph_text(text)
+    g = graphs.parse_graph_text(text, None if args.format == "dot" else args.aut_cap)
     if args.format == "dot":
         sys.stdout.write(graphs.to_dot(g))
         return EXIT_OK

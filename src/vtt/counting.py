@@ -90,15 +90,30 @@ def phi_table(p: int) -> PhiTable:
     return table
 
 
+def check_digit_cap(p: int) -> None:
+    """Raise SizeLimitError when the count for p has more than MAX_COUNT_DIGITS
+    digits by a bound on p alone, before any counting work.
+
+    Each class holds at most p - 1 of the 2^((p-1)/2) sets, so the count is at
+    least 2^((p-1)/2) / (p-1) > 2^((p-1)//2 - bitlen(p-1)).  Counts just below
+    the bound's reach are refused by `format_count_table` once built."""
+    if (p - 1) // 2 - (p - 1).bit_length() > _MAX_SAFE_BITS:
+        raise SizeLimitError(f"the count for a prime as large as {p} has more than "
+                             f"{MAX_COUNT_DIGITS} decimal digits")
+
+
 def class_count(p: int) -> int:
     """Number of isomorphism classes of vertex-transitive tournaments of order p."""
     return phi_table(p).class_count
 
 
 def count_table(p_min: int, p_max: int) -> list[tuple[int, int]]:
-    """(p, class count) for every odd prime in [p_min, p_max], ascending."""
+    """(p, class count) for every odd prime in [p_min, p_max], ascending.
+
+    The digit cap is checked on p_max before anything is counted."""
     if p_min > p_max:
         raise ValueError(f"empty range: {p_min} > {p_max}")
+    check_digit_cap(p_max)
     rows = []
     for p in range(max(3, p_min) | 1, p_max + 1, 2):
         if is_prime(p):

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
+from .errors import SizeLimitError
 from .groups import AbelianGroup, cyclic
 from .groups import units as unit_list
 
@@ -320,10 +321,12 @@ def from_json(text: str) -> Digraph:
     return Digraph.from_arcs(n, arcs)
 
 
-def parse_graph_text(text: str) -> Digraph:
+def parse_graph_text(text: str, max_vertices: int | None = None) -> Digraph:
     """Parse the header + edge-list format: first line "digraph n" or "graph n".
 
-    A "graph" header applies symmetric closure to the listed edges.
+    A "graph" header applies symmetric closure to the listed edges.  A header
+    naming more than `max_vertices` vertices raises SizeLimitError before the
+    graph is built.
     """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -335,6 +338,8 @@ def parse_graph_text(text: str) -> Digraph:
         n = int(head[1])
     except ValueError as exc:
         raise ValueError(f"bad vertex count in header {lines[0]!r}") from exc
+    if max_vertices is not None and n > max_vertices:
+        raise SizeLimitError(f"vertex cap is {max_vertices}, graph has {n}")
     arcs = []
     for ln in lines[1:]:
         parts = ln.split()

@@ -1,15 +1,24 @@
-"""Permutations, digraph isomorphism search, orbits, and Cayley recognition.
+"""Permutations, digraph isomorphism search, automorphism groups, orbits, and
+Cayley recognition.
 
-The isomorphism and automorphism routines share one backtracking engine with
-two pruning invariants per vertex: the (out-degree, in-degree) pair and the
-number of directed 3-cycles through the vertex.  Candidates are always tried
-in ascending vertex order, so results are deterministic.
+One backtracking engine finds the first isomorphism that extends a fixed
+prefix of vertex images.  It places vertices in ascending order, tries
+candidates in ascending order, and prunes with two invariants per vertex: the
+(out-degree, in-degree) pair and the number of directed 3-cycles through the
+vertex.  `isomorphic` runs it with an empty prefix.  `automorphisms` builds a
+stabilizer chain along the base 0..n-1 (Sims 1970) with one such search per
+candidate coset representative, so the group order is known, as the product
+of the basic orbit lengths, before any element is built.  Results are
+deterministic.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import Callable
 
 from .errors import InconsistencyError, SizeLimitError
 from .graphs import Digraph
@@ -17,7 +26,7 @@ from .graphs import Digraph
 Permutation = tuple[int, ...]
 
 DEFAULT_AUT_CAP = 16
-# Most automorphisms enumerated before giving up; C5[C3] has 77,760.
+# Largest automorphism group whose elements are built; C5[C3] has 77,760.
 MAX_AUT_ELEMENTS = 100_000
 
 
@@ -72,7 +81,10 @@ def perm_str(p: Permutation) -> str:
 
 @dataclass(frozen=True)
 class PermGroup:
-    """A permutation group materialized as an explicit element list."""
+    """A permutation group materialized as an explicit element list.
+
+    `automorphisms`, `from_generators` and `stabilizer` list the elements in
+    ascending order, which `find_regular_subgroup` relies on."""
 
     degree: int
     elements: tuple[Permutation, ...]
@@ -103,9 +115,9 @@ class PermGroup:
 
 
 def _close(perms: set[Permutation], limit: int | None = None,
-           allowed: frozenset[Permutation] | None = None) -> set[Permutation] | None:
+           allowed: Callable[[Permutation], bool] | None = None) -> set[Permutation] | None:
     """Closure under composition; None once `limit` is exceeded or an element
-    falls outside `allowed`."""
+    fails `allowed`."""
     closure = set(perms)
     frontier = list(perms)
     while frontier:
@@ -113,7 +125,7 @@ def _close(perms: set[Permutation], limit: int | None = None,
         for y in tuple(closure):
             for z in (compose(x, y), compose(y, x)):
                 if z not in closure:
-                    if allowed is not None and z not in allowed:
+                    if allowed is not None and not allowed(z):
                         return None
                     closure.add(z)
                     if limit is not None and len(closure) > limit:
@@ -132,31 +144,33 @@ def _vertex_invariants(g: Digraph) -> list[tuple[int, int, int]]:
     return inv
 
 
-def _search_isomorphisms(g: Digraph, h: Digraph, find_all: bool) -> list[Permutation]:
+def _candidates(g: Digraph, h: Digraph) -> list[list[int]] | None:
+    """For each vertex of g, the vertices of h with equal invariants, ascending;
+    None when the invariants already rule out an isomorphism."""
     if g.n != h.n or g.num_arcs != h.num_arcs:
-        return []
-    n = g.n
+        return None
     inv_g = _vertex_invariants(g)
-    inv_h = _vertex_invariants(h)
+    inv_h = inv_g if h is g else _vertex_invariants(h)
     if sorted(inv_g) != sorted(inv_h):
-        return []
-    candidates = [[w for w in range(n) if inv_h[w] == inv_g[u]] for u in range(n)]
-    if any(not c for c in candidates):
-        return []
+        return None
+    return [[w for w in range(h.n) if inv_h[w] == inv_g[u]] for u in range(g.n)]
 
+
+def _first_extension(g: Digraph, h: Digraph, candidates: list[list[int]],
+                     prefix: list[int]) -> Permutation | None:
+    """The first isomorphism g -> h taking each vertex u < len(prefix) to
+    prefix[u], in ascending candidate order; None if there is none."""
+    n = g.n
+    choices = [[w] if w in candidates[u] else [] for u, w in enumerate(prefix)]
+    choices += candidates[len(prefix):]
     gadj, hadj = g.adj, h.adj
     mapping = [-1] * n
     used = [False] * n
-    found: list[Permutation] = []
 
     def place(u: int) -> bool:
         if u == n:
-            found.append(tuple(mapping))
-            if find_all and len(found) > MAX_AUT_ELEMENTS:
-                raise SizeLimitError(
-                    f"more than {MAX_AUT_ELEMENTS} automorphisms, enumeration stopped")
-            return not find_all
-        for w in candidates[u]:
+            return True
+        for w in choices[u]:
             if used[w]:
                 continue
             ok = True
@@ -174,8 +188,7 @@ def _search_isomorphisms(g: Digraph, h: Digraph, find_all: bool) -> list[Permuta
                 used[w] = False
         return False
 
-    place(0)
-    return found
+    return tuple(mapping) if place(0) else None
 
 
 def is_automorphism(g: Digraph, p: Permutation) -> bool:
@@ -189,23 +202,73 @@ def isomorphic(g: Digraph, h: Digraph) -> Permutation | None:
 
     Every returned witness is re-verified arc by arc before being handed out.
     """
-    found = _search_isomorphisms(g, h, find_all=False)
-    if not found:
+    candidates = _candidates(g, h)
+    p = None if candidates is None else _first_extension(g, h, candidates, [])
+    if p is None:
         return None
-    p = found[0]
     mapped = {(p[u], p[v]) for u, v in g.arcs()}
     if mapped != set(h.arcs()):
         raise InconsistencyError("isomorphism witness failed arc-by-arc verification")
     return p
 
 
+def _transversal(u: int, generators: list[Permutation], n: int) -> dict[int, Permutation]:
+    """For each vertex w in the orbit of u under the generators, one product
+    of generators taking u to w."""
+    reps = {u: identity_perm(n)}
+    queue = [u]
+    for x in queue:
+        for s in generators:
+            y = s[x]
+            if y not in reps:
+                reps[y] = compose(s, reps[x])
+                queue.append(y)
+    return reps
+
+
 def automorphisms(g: Digraph, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
-    """All arc-preserving permutations of g, fully enumerated."""
+    """All arc-preserving permutations of g, in ascending order.
+
+    The group is built as a stabilizer chain along the base 0..n-1, from
+    u = n-1 down to 0.  Level u keeps a transversal of G_u, the automorphisms
+    fixing 0..u-1, over G_(u+1): one element of G_u taking u to each vertex of
+    u's orbit.  Each candidate w outside the orbit reached so far costs one
+    first-found search with 0..u-1 fixed and u -> w; a hit is a new
+    generator, and the orbit grows under all generators found.  |G_u| is the
+    product of the transversal lengths from u up, so MAX_AUT_ELEMENTS is
+    checked against it at every level, and the elements, the products of one
+    transversal element per level, are built only after the whole order has
+    passed.
+    """
     if g.n > cap:
         raise SizeLimitError(
             f"automorphism enumeration capped at {cap} vertices, graph has {g.n}")
-    found = _search_isomorphisms(g, g, find_all=True)
-    return PermGroup(g.n, tuple(sorted(found)))
+    n = g.n
+    candidates = _candidates(g, g)
+    generators: list[Permutation] = []
+    transversals = []
+    order = 1
+    for u in reversed(range(n)):
+        reps = _transversal(u, generators, n)
+        for w in candidates[u]:
+            if w > u and w not in reps:
+                found = _first_extension(g, g, candidates, [*range(u), w])
+                if found is not None:
+                    generators.append(found)
+                    reps = _transversal(u, generators, n)
+        order *= len(reps)
+        if order > MAX_AUT_ELEMENTS:
+            raise SizeLimitError(
+                f"more than {MAX_AUT_ELEMENTS} automorphisms, enumeration stopped")
+        if len(reps) > 1:
+            transversals.append(reps.values())
+    elements = [identity_perm(n)]
+    for reps in transversals:
+        # itemgetter(*h)(t) == compose(t, h), without a Python-level loop
+        right_factors = [itemgetter(*h) for h in elements]
+        elements = [times_h(t) for t in reps for times_h in right_factors]
+    elements.sort()
+    return PermGroup(n, tuple(elements))
 
 
 def orbits(group: PermGroup, n: int) -> list[list[int]]:
@@ -242,24 +305,28 @@ def find_regular_subgroup(aut: PermGroup, n: int) -> PermGroup | None:
     """A transitive subgroup of order n with trivial stabilizers, if any.
 
     In a regular group every non-identity element is fixed-point-free and has
-    order dividing n, which prunes the candidate pool hard.  Each step extends
+    order dividing n, which prunes the candidates hard.  Each step extends
     the current closure by an element taking 0 to the smallest vertex it does
     not reach yet; a regular group holds exactly one such element, so
-    branching on these alone misses none.
+    branching on these alone misses none.  Since aut's elements ascend, those
+    taking 0 to v form one slice, filtered only when the search reaches v.
     """
     ident = identity_perm(n)
-    pool = sorted(p for p in aut
-                  if p != ident and fixed_points(p) == 0 and n % perm_order(p) == 0)
-    allowed = frozenset(pool) | {ident}
-    taking_0_to: list[list[Permutation]] = [[] for _ in range(n)]
-    for p in pool:
-        taking_0_to[p[0]].append(p)
+    elements = aut.elements
+
+    def allowed(p: Permutation) -> bool:
+        return p == ident or (fixed_points(p) == 0 and n % perm_order(p) == 0)
+
+    taking_0_to: dict[int, list[Permutation]] = {}
 
     def extend(current: set[Permutation]) -> set[Permutation] | None:
         if len(current) == n:
             return current
         reached = {p[0] for p in current}
         target = next(v for v in range(n) if v not in reached)
+        if target not in taking_0_to:
+            lo, hi = bisect_left(elements, (target,)), bisect_left(elements, (target + 1,))
+            taking_0_to[target] = [p for p in elements[lo:hi] if allowed(p)]
         for p in taking_0_to[target]:
             closed = _close(current | {p}, limit=n, allowed=allowed)
             if closed is None or n % len(closed):

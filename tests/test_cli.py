@@ -6,7 +6,7 @@ import tracemalloc
 
 import pytest
 
-from vtt import cli
+from vtt import cli, counting
 from vtt.counting import _int_str_digits, class_count
 from vtt.fixtures import run_all
 from vtt.graphs import cayley_digraph, petersen, to_edge_list
@@ -50,6 +50,17 @@ class TestCount:
     def test_count_past_digit_cap(self, capsys):
         # the smallest prime whose count has more than 100,000 digits
         code, out, err = run(capsys, "count", "664427")
+        assert code == 3
+        assert out == ""
+        assert "digits" in err
+
+    @pytest.mark.parametrize("arg", ["1000003", "3..1000003"])
+    def test_digit_cap_decided_before_counting(self, capsys, monkeypatch, arg):
+        # the count is at least 2^((p-1)/2)/(p-1), so p alone decides the cap
+        def refuse(p):
+            raise AssertionError(f"phi_table({p}) ran")
+        monkeypatch.setattr(counting, "phi_table", refuse)
+        code, out, err = run(capsys, "count", arg)
         assert code == 3
         assert out == ""
         assert "digits" in err
@@ -234,6 +245,42 @@ class TestRecognize:
         assert code == 3
         assert out == ""
         assert "automorphisms" in err
+
+    @pytest.mark.parametrize("header,edges", [
+        ("digraph 16", ""),
+        ("graph 16", "".join(f"{u} {v}\n" for u in range(16) for v in range(u + 1, 16))),
+    ], ids=["empty", "complete"])
+    def test_ceiling_checked_against_the_group_order(self, capsys, tmp_path, header, edges):
+        # |Aut| = 16! is known from the stabilizer chain before any element is built
+        path = tmp_path / "g16.txt"
+        path.write_text(f"{header}\n{edges}")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "recognize", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 3
+        assert out == ""
+        assert "more than 100000 automorphisms" in err
+
+    def test_vertex_cap_checked_before_building(self, capsys, tmp_path):
+        path = tmp_path / "huge.txt"
+        path.write_text("digraph 10000000\n0 1\n")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "recognize", str(path))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        assert out == ""
+        assert "10000000" in err
+        assert peak < 5 * 2**20
+
+    def test_dot_ignores_vertex_cap(self, capsys, tmp_path):
+        path = tmp_path / "c17.txt"
+        path.write_text("graph 17\n" + "".join(f"{v} {(v + 1) % 17}\n" for v in range(17)))
+        code, out, _ = run(capsys, "recognize", str(path), "--format", "dot")
+        assert code == 0
+        assert out.startswith("digraph G {")
 
     def test_huge_vertex_count_exits_quickly(self, capsys, tmp_path):
         # building the digraph must stay linear in n before the vertex cap is hit

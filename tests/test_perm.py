@@ -1,7 +1,10 @@
 import random
+import tracemalloc
+from itertools import permutations
 
 import pytest
 
+from vtt.enumeration import equivalence_classes
 from vtt.errors import InconsistencyError, SizeLimitError
 from vtt.graphs import Digraph, cayley_digraph, cycle, k_cube, kneser, petersen, relabel
 from vtt.groups import AbelianGroup, cyclic
@@ -15,6 +18,7 @@ from vtt.perm import (
     fixed_points,
     identity_perm,
     inverse_perm,
+    is_automorphism,
     is_cayley,
     isomorphic,
     orbits,
@@ -120,6 +124,42 @@ class TestAutomorphisms:
         monkeypatch.setattr(perm, "MAX_AUT_ELEMENTS", 119)
         with pytest.raises(SizeLimitError, match="119"):
             automorphisms(petersen())
+
+    @pytest.mark.parametrize("g", [
+        TRIANGLE,
+        Digraph.from_arcs(3, [(0, 1), (1, 2)]),
+        Digraph.from_arcs(5, []),
+        cycle(6),
+        k_cube(2),
+        cayley_digraph(cyclic(7), {1, 2, 3}),
+        cayley_digraph(cyclic(6), {1, 2}),
+        Digraph.from_arcs(7, [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2), (5, 6), (6, 5), (0, 5)]),
+    ], ids=["triangle", "path", "empty5", "C6", "Q2", "Z7", "Z6", "mixed7"])
+    def test_matches_brute_force(self, g):
+        everything = tuple(p for p in permutations(range(g.n)) if is_automorphism(g, p))
+        assert automorphisms(g).elements == everything
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+    def test_circulant_order_from_class_size(self, p):
+        # Aut(Cay(Z_p, S)) = Z_p x| H with |H| = (p-1)/size of the class of S
+        for info in equivalence_classes(p).classes:
+            g = cayley_digraph(cyclic(p), set(info.rep.members()))
+            assert len(automorphisms(g, cap=p)) == p * (p - 1) // info.size
+
+    def test_order_checked_before_elements(self, monkeypatch):
+        # the empty graph on 8 vertices has 8! = 40,320 automorphisms
+        empty = Digraph.from_arcs(8, [])
+        monkeypatch.setattr(perm, "MAX_AUT_ELEMENTS", 40_319)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SizeLimitError, match="40319"):
+                automorphisms(empty)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20  # 40,320 8-tuples would take about 5 MB
+        monkeypatch.setattr(perm, "MAX_AUT_ELEMENTS", 40_320)
+        assert len(automorphisms(empty)) == 40_320
 
 
 class TestOrbits:
