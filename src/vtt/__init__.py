@@ -16,18 +16,16 @@ from .errors import InconsistencyError, SizeLimitError
 from .graphs import (
     Digraph,
     cayley_digraph,
-    coset_saturated,
     cycle,
     is_tournament,
     k_cube,
     kneser,
-    metacirculant,
     petersen,
     triangle_profile,
     validate_tournament_set,
     wreath_product,
 )
-from .groups import AbelianGroup, cyclic, divisors, left_cosets, mult_order, units
+from .groups import AbelianGroup, cyclic, divisors, mult_order, units
 from .perm import (
     PermGroup,
     automorphisms,

@@ -122,8 +122,6 @@ def _parse_prime_range(text: str) -> tuple[int, int] | int:
 
 
 def cmd_count(args) -> int:
-    if args.format == "dot":
-        raise ValueError("format 'dot' is not supported for count")
     target = _parse_prime_range(args.prime)
     if isinstance(target, int):
         if target < 3 or target % 2 == 0:
@@ -139,8 +137,6 @@ def cmd_count(args) -> int:
 
 
 def cmd_classes(args) -> int:
-    if args.format in ("tsv", "dot"):
-        raise ValueError(f"format {args.format!r} is not supported for classes")
     report = enumeration.equivalence_classes(
         args.prime, include_members=args.members, budget_bits=args.budget_bits)
     for line in report.json_lines():
@@ -149,8 +145,6 @@ def cmd_classes(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.format == "dot" or args.format == "tsv":
-        raise ValueError(f"format {args.format!r} is not supported for verify")
     formula = counting.class_count(args.prime)
     enumerated = enumeration.equivalence_classes(
         args.prime, budget_bits=args.budget_bits).count
@@ -191,8 +185,6 @@ def cmd_recognize(args) -> int:
 
 
 def cmd_fixtures(args) -> int:
-    if args.format == "dot" or args.format == "tsv":
-        raise ValueError(f"format {args.format!r} is not supported for fixtures")
     results = fixtures.run_all()
     failed = [r.name for r in results if not r.ok]
     if args.format == "json":
@@ -207,22 +199,29 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
+# command -> (handler, the --format values it accepts)
 _HANDLERS = {
-    "count": cmd_count,
-    "classes": cmd_classes,
-    "verify": cmd_verify,
-    "recognize": cmd_recognize,
-    "fixtures": cmd_fixtures,
+    "count": (cmd_count, ("text", "tsv", "json")),
+    "classes": (cmd_classes, ("text", "json")),
+    "verify": (cmd_verify, ("text", "json")),
+    "recognize": (cmd_recognize, ("text", "tsv", "json", "dot")),
+    "fixtures": (cmd_fixtures, ("text", "json")),
 }
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    handler, formats = _HANDLERS[args.command]
     try:
         _positive(args)
-        return _HANDLERS[args.command](args)
+        if args.format not in formats:
+            raise ValueError(f"format {args.format!r} is not supported for {args.command}")
+        return handler(args)
     except SizeLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE_CAP
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_RESOURCE_CAP
     except InconsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -3,21 +3,19 @@
 Vertices are 0..n-1 and `adj[v]` is an integer whose bit w is set exactly when
 the arc v -> w exists.  Undirected graphs are stored as symmetric digraphs.
 Constructors: Cayley digraphs on finite abelian groups, hypercubes, cycles,
-Kneser graphs (Petersen as J(5,2,0)), metacirculants, and wreath products.
+Kneser graphs (Petersen as J(5,2,0)), and wreath products.
 Tournament-specific machinery: connection-set validity and the per-arc
 directed-triangle profile used as an isomorphism invariant.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 
 from .errors import SizeLimitError
 from .groups import AbelianGroup, cyclic
-from .groups import units as unit_list
 
 
 @dataclass(frozen=True)
@@ -173,40 +171,6 @@ def petersen() -> Digraph:
     return kneser(5, 2, 0)
 
 
-def metacirculant(m: int, n: int, a: int, sets) -> Digraph:
-    """Metacirculant digraph on Z_m x Z_n from step sets S_0..S_{m-1}.
-
-    Vertex (i, j) has index i*n + j.  There is an arc from (i, j) to
-    (i + r, h) exactly when h lies in j + a^i * S_r.  Validity requires
-    0 not in S_0 and a^m * S_r = S_r for every r; the failing r is reported.
-    """
-    if m < 1 or n < 2:
-        raise ValueError(f"metacirculant requires m >= 1 and n >= 2, got ({m}, {n})")
-    if a % n == 0 or a % n not in unit_list(n):
-        raise ValueError(f"{a} is not a unit mod {n}")
-    step_sets = [frozenset(x % n for x in s) for s in sets]
-    if len(step_sets) != m:
-        raise ValueError(f"expected {m} step sets, got {len(step_sets)}")
-    if 0 in step_sets[0]:
-        raise ValueError("invalid metacirculant: 0 in S_0")
-    am = pow(a, m, n)
-    for r, sr in enumerate(step_sets):
-        if frozenset(am * x % n for x in sr) != sr:
-            raise ValueError(f"invalid metacirculant: a^m * S_r != S_r at r={r}")
-    adj = [0] * (m * n)
-    for i in range(m):
-        ai = pow(a, i, n)
-        for r, sr in enumerate(step_sets):
-            level = (i + r) % m
-            shifted = [ai * x % n for x in sr]
-            for j in range(n):
-                bits = 0
-                for d in shifted:
-                    bits |= 1 << (level * n + (j + d) % n)
-                adj[i * n + j] |= bits
-    return Digraph(m * n, tuple(adj))
-
-
 def wreath_product(g: Digraph, h: Digraph) -> Digraph:
     """Wreath (lexicographic) product: (v, w) -> (v', w') iff v -> v', or v = v' and w -> w'."""
     n = g.n * h.n
@@ -249,27 +213,6 @@ def triangle_profile(g: Digraph) -> TriangleProfile:
     return TriangleProfile(tuple(counts), tuple(sorted(c for _, _, c in counts)))
 
 
-def coset_saturated(group: AbelianGroup, s, subgroup) -> bool:
-    """True iff every member of s outside `subgroup` brings its whole coset.
-
-    Equivalently: s minus the subgroup is a union of subgroup cosets.  This is
-    the coset condition a connection set must satisfy for the digraph to be
-    expressible as a wreath product over that subgroup.
-    """
-    members = frozenset(group.coerce(x) for x in s)
-    sub = frozenset(group.coerce(x) for x in subgroup)
-    for x in sub:
-        for y in sub:
-            if group.add(x, y) not in sub:
-                raise ValueError("input is not closed under addition")
-    if group.identity not in sub:
-        raise ValueError("subgroup must contain the identity")
-    for x in members - sub:
-        if not all(group.add(x, hh) in members for hh in sub):
-            return False
-    return True
-
-
 def relabel(g: Digraph, images) -> Digraph:
     """Apply a vertex permutation: arc u -> v becomes images[u] -> images[v]."""
     images = tuple(images)
@@ -293,32 +236,6 @@ def to_dot(g: Digraph) -> str:
     lines += [f"  {u} -> {v};" for u, v in g.arcs()]
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def to_json(g: Digraph) -> str:
-    payload = {"n": g.n, "edges": [list(arc) for arc in g.arcs()]}
-    return json.dumps(payload, separators=(",", ":")) + "\n"
-
-
-def export(g: Digraph, fmt: str) -> str:
-    """Serialize deterministically; fmt is one of edge-list, dot, json."""
-    if fmt == "edge-list":
-        return to_edge_list(g)
-    if fmt == "dot":
-        return to_dot(g)
-    if fmt == "json":
-        return to_json(g)
-    raise ValueError(f"unknown export format {fmt!r}")
-
-
-def from_json(text: str) -> Digraph:
-    try:
-        payload = json.loads(text)
-        n = payload["n"]
-        arcs = [(int(u), int(v)) for u, v in payload["edges"]]
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"malformed digraph json: {exc}") from exc
-    return Digraph.from_arcs(n, arcs)
 
 
 def parse_graph_text(text: str, max_vertices: int | None = None) -> Digraph:

@@ -2,9 +2,9 @@
 
 Covers everything the rest of the package needs from algebra: cyclic groups
 and direct products with elements stored as residue tuples, unit groups mod n,
-multiplicative orders, cyclic subgroups generated by a unit, left cosets, and
-divisor lists.  All functions are exact and deterministic; sets are returned
-in sorted order so downstream output is reproducible.
+multiplicative orders, cyclic subgroups generated by a unit, and divisor
+lists.  All functions are exact and deterministic; sets are returned in
+sorted order so downstream output is reproducible.
 """
 
 from __future__ import annotations
@@ -78,38 +78,6 @@ def cyclic_subgroup(a: int, n: int) -> set[int]:
     return sub
 
 
-def _is_unit_subgroup(subgroup: set[int], n: int) -> bool:
-    if 1 not in subgroup:
-        return False
-    for x in subgroup:
-        if not (0 < x < n) or math.gcd(x, n) != 1:
-            return False
-        for y in subgroup:
-            if x * y % n not in subgroup:
-                return False
-    return True
-
-
-def left_cosets(subgroup: set[int], n: int) -> list[set[int]]:
-    """Partition of units(n) into cosets of `subgroup`, ordered by minimum.
-
-    The input must be an actual subgroup of the unit group; closure is checked
-    explicitly rather than assumed.
-    """
-    sub = {x % n for x in subgroup}
-    if not _is_unit_subgroup(sub, n):
-        raise ValueError("input is not a subgroup of the units")
-    cosets: list[set[int]] = []
-    seen: set[int] = set()
-    for b in units(n):
-        if b in seen:
-            continue
-        coset = {b * h % n for h in sub}
-        seen |= coset
-        cosets.append(coset)
-    return cosets
-
-
 @dataclass(frozen=True)
 class AbelianGroup:
     """Direct product of cyclic groups; elements are residue tuples.
@@ -130,10 +98,6 @@ class AbelianGroup:
     @property
     def order(self) -> int:
         return math.prod(self.moduli)
-
-    @property
-    def rank(self) -> int:
-        return len(self.moduli)
 
     @property
     def identity(self) -> Element:

@@ -95,9 +95,6 @@ class PermGroup:
     def __iter__(self):
         return iter(self.elements)
 
-    def __contains__(self, p: Permutation) -> bool:
-        return p in self.elements
-
     @classmethod
     def from_generators(cls, degree: int, generators) -> "PermGroup":
         gens = [tuple(g) for g in generators]
@@ -304,18 +301,20 @@ def burnside_orbit_count(group: PermGroup, n: int) -> int:
 def find_regular_subgroup(aut: PermGroup, n: int) -> PermGroup | None:
     """A transitive subgroup of order n with trivial stabilizers, if any.
 
-    In a regular group every non-identity element is fixed-point-free and has
-    order dividing n, which prunes the candidates hard.  Each step extends
-    the current closure by an element taking 0 to the smallest vertex it does
-    not reach yet; a regular group holds exactly one such element, so
-    branching on these alone misses none.  Since aut's elements ascend, those
-    taking 0 to v form one slice, filtered only when the search reaches v.
+    In a regular group every non-identity element is fixed-point-free, which
+    prunes the candidates hard.  An element whose order does not divide n
+    needs no test of its own: its closure's size is a multiple of that order
+    (Lagrange), so the size check rejects it.  Each step extends the
+    current closure by an element taking 0 to the smallest vertex it does not
+    reach yet; a regular group holds exactly one such element, so branching
+    on these alone misses none.  Since aut's elements ascend, those taking 0
+    to v form one slice, filtered only when the search reaches v.
     """
     ident = identity_perm(n)
     elements = aut.elements
 
     def allowed(p: Permutation) -> bool:
-        return p == ident or (fixed_points(p) == 0 and n % perm_order(p) == 0)
+        return p == ident or fixed_points(p) == 0
 
     taking_0_to: dict[int, list[Permutation]] = {}
 

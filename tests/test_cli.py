@@ -326,9 +326,31 @@ class TestFixtures:
 
 
 class TestBadFlags:
-    def test_unsupported_format(self, capsys):
-        code, _, err = run(capsys, "count", "7", "--format", "dot")
+    @pytest.mark.parametrize("command, fmt", [
+        ("count", "dot"), ("classes", "tsv"), ("classes", "dot"), ("verify", "tsv"),
+        ("verify", "dot"), ("fixtures", "tsv"), ("fixtures", "dot")])
+    def test_unsupported_format(self, capsys, command, fmt):
+        argv = [command] if command == "fixtures" else [command, "7"]
+        code, out, err = run(capsys, *argv, "--format", fmt)
         assert code == 2
+        assert out == ""
+        assert err == f"error: format {fmt!r} is not supported for {command}\n"
+
+    def test_recognize_prints_text_for_tsv(self, capsys, tmp_path):
+        path = tmp_path / "tri.txt"
+        path.write_text("digraph 3\n0 1\n1 2\n2 0\n")
+        assert run(capsys, "recognize", str(path), "--format", "tsv") == \
+            run(capsys, "recognize", str(path))
+
+    @pytest.mark.parametrize("command", ["classes", "verify"])
+    def test_memory_error_is_a_resource_cap(self, capsys, monkeypatch, command):
+        def exhaust(*args, **kwargs):
+            raise MemoryError
+        monkeypatch.setattr(cli.enumeration, "equivalence_classes", exhaust)
+        code, out, err = run(capsys, command, "83", "--budget-bits", "41")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ")
 
     def test_nonpositive_workers(self, capsys):
         code, _, err = run(capsys, "classes", "7", "--workers", "0")

@@ -1,4 +1,3 @@
-import json
 import random
 from itertools import chain, combinations
 
@@ -7,17 +6,14 @@ import pytest
 from vtt.graphs import (
     Digraph,
     cayley_digraph,
-    coset_saturated,
     cycle,
-    export,
-    from_json,
     is_tournament,
     k_cube,
     kneser,
-    metacirculant,
     parse_graph_text,
     petersen,
     relabel,
+    to_dot,
     to_edge_list,
     triangle_profile,
     validate_tournament_set,
@@ -144,32 +140,6 @@ def test_cycle_validation():
         cycle(2)
 
 
-class TestMetacirculant:
-    def test_degenerates_to_circulant(self):
-        got = metacirculant(1, 9, 1, [{1, 3, 5, 7}])
-        assert got == cayley_digraph(cyclic(9), {1, 3, 5, 7})
-
-    @pytest.mark.parametrize("m,n,a,sets", [
-        (1, 9, 1, [{1, 3, 5, 7}]),
-        (2, 5, 2, [{1, 4}, {0, 2, 3}]),
-        (3, 7, 2, [{1, 2, 4}, {0, 3}, {5}]),
-    ])
-    def test_rotations_are_automorphisms(self, m, n, a, sets):
-        g = metacirculant(m, n, a, sets)
-        rho = tuple(i * n + (j + 1) % n for i in range(m) for j in range(n))
-        sigma = tuple(((i + 1) % m) * n + a * j % n for i in range(m) for j in range(n))
-        assert is_automorphism(g, rho)
-        assert is_automorphism(g, sigma)
-
-    def test_rejects_zero_in_first_set(self):
-        with pytest.raises(ValueError, match="0 in S_0"):
-            metacirculant(2, 5, 2, [{0, 1}, {2}])
-
-    def test_reports_failing_level(self):
-        with pytest.raises(ValueError, match="r=1"):
-            metacirculant(2, 5, 2, [{1, 4}, {2}])
-
-
 class TestWreathProduct:
     def test_single_vertex_is_identity(self):
         h = cayley_digraph(cyclic(7), {1, 2, 3})
@@ -227,29 +197,6 @@ class TestTriangleProfile:
             assert triangle_profile(relabel(g, images)).summary == base
 
 
-class TestCosetSaturated:
-    def test_z9_fails_at_one(self):
-        assert not coset_saturated(cyclic(9), {1, 7, 3, 5}, {0, 3, 6})
-
-    def test_z33_subgroups(self):
-        subs = [
-            ({(0, 0), (1, 0), (2, 0)}, True),
-            ({(0, 0), (0, 1), (0, 2)}, False),
-            ({(0, 0), (1, 1), (2, 2)}, False),
-            ({(0, 0), (1, 2), (2, 1)}, False),
-        ]
-        for sub, expected in subs:
-            assert coset_saturated(Z33, Z33_SET, sub) is expected
-
-    def test_trivial_subgroup_always_true(self):
-        assert coset_saturated(cyclic(9), {1, 7, 3, 5}, {0})
-        assert coset_saturated(Z33, Z33_SET, {(0, 0)})
-
-    def test_rejects_non_subgroup(self):
-        with pytest.raises(ValueError):
-            coset_saturated(cyclic(9), {1, 3, 5, 7}, {0, 3})
-
-
 @pytest.mark.parametrize("group,s", [
     (cyclic(7), {1, 2, 3}),
     (cyclic(9), {1, 3, 5, 7}),
@@ -273,22 +220,14 @@ class TestExport:
         assert len(to_edge_list(sym).splitlines()) == 6
 
     def test_dot(self):
-        text = export(cayley_digraph(cyclic(3), {1}), "dot")
+        text = to_dot(cayley_digraph(cyclic(3), {1}))
         assert text.startswith("digraph G {")
         assert "  0 -> 1;" in text
 
-    def test_json_round_trip(self):
-        g = petersen()
-        assert from_json(export(g, "json")) == g
-
-    def test_unknown_format(self):
-        with pytest.raises(ValueError):
-            export(petersen(), "yaml")
-
     def test_export_is_deterministic(self):
         g = cayley_digraph(cyclic(9), {1, 7, 3, 5})
-        for fmt in ("edge-list", "dot", "json"):
-            assert export(g, fmt) == export(g, fmt)
+        for render in (to_edge_list, to_dot):
+            assert render(g) == render(g)
 
 
 class TestParse:
@@ -312,9 +251,3 @@ class TestParse:
     def test_rejects_malformed(self, text):
         with pytest.raises(ValueError):
             parse_graph_text(text)
-
-    def test_json_rejects_malformed(self):
-        with pytest.raises(ValueError):
-            from_json("{not json")
-        with pytest.raises(ValueError):
-            from_json(json.dumps({"n": 3}))

@@ -8,7 +8,6 @@ from vtt.groups import (
     cyclic_subgroup,
     divisors,
     is_prime,
-    left_cosets,
     mult_order,
     units,
 )
@@ -51,46 +50,6 @@ def test_cyclic_subgroup():
     assert cyclic_subgroup(1, 7) == {1}
     assert cyclic_subgroup(3, 13) == {1, 3, 9}
     assert len(cyclic_subgroup(5, 11)) == mult_order(5, 11)
-
-
-def test_left_cosets_small():
-    assert left_cosets({1, 5, 3, 4, 9}, 11) == [{1, 3, 4, 5, 9}, {2, 6, 7, 8, 10}]
-    assert left_cosets({1}, 7) == [{a} for a in range(1, 7)]
-    assert left_cosets({1, 3, 9}, 13) == [{1, 3, 9}, {2, 5, 6}, {4, 10, 12}, {7, 8, 11}]
-
-
-def test_left_cosets_rejects_non_subgroup():
-    with pytest.raises(ValueError):
-        left_cosets({1, 2}, 7)  # 2*2=4 missing
-    with pytest.raises(ValueError):
-        left_cosets({2, 4}, 7)  # identity missing
-
-
-@pytest.mark.parametrize("n", [11, 13, 24, 25])
-def test_left_cosets_partition(n):
-    for a in units(n):
-        sub = cyclic_subgroup(a, n)
-        cosets = left_cosets(sub, n)
-        assert len(cosets) == len(units(n)) // len(sub)
-        assert all(len(c) == len(sub) for c in cosets)
-        covered = set()
-        for c in cosets:
-            assert not covered & c
-            covered |= c
-        assert covered == set(units(n))
-
-
-@pytest.mark.parametrize("p", [7, 11, 31, 101])
-def test_coset_refinement(p):
-    # if <a> is contained in <b>, each coset of <b> splits into cosets of <a>
-    for b in units(p):
-        big = cyclic_subgroup(b, p)
-        big_cosets = left_cosets(big, p)
-        for a in big:
-            small_cosets = left_cosets(cyclic_subgroup(a, p), p)
-            for coset in big_cosets:
-                parts = [c for c in small_cosets if c <= coset]
-                assert set().union(*parts) == coset
 
 
 def test_divisors():
