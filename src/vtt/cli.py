@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import counting, enumeration, fixtures, graphs, perm
@@ -145,11 +146,13 @@ def cmd_classes(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    formula = counting.class_count(args.prime)
-    enumerated = enumeration.equivalence_classes(
-        args.prime, budget_bits=args.budget_bits).count
+    table = counting.phi_table(args.prime)
+    formula = table.class_count
+    report = enumeration.equivalence_classes(args.prime, budget_bits=args.budget_bits)
+    enumerated = report.count
     burnside = enumeration.burnside_count(args.prime)
-    ok = formula == enumerated == burnside
+    formula_sizes = {size: count for count, size in table.entries.values() if count}
+    ok = formula == enumerated == burnside and formula_sizes == Counter(report.sizes())
     if args.format == "json":
         print(json.dumps({"p": args.prime, "formula": formula, "enumeration": enumerated,
                           "burnside": burnside, "ok": ok}, separators=(",", ":")))

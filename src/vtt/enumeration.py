@@ -14,6 +14,7 @@ its smallest mask and size; its members are walked again when asked for.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
@@ -31,6 +32,16 @@ def _is_odd_prime(p: int) -> bool:
     return p >= 3 and is_prime(p)
 
 
+@cache
+def _member_chunks(p: int) -> list[list[tuple[int, ...]]]:
+    """Per 8-bit chunk of a mask, indexed by the chunk's value: its members."""
+    half = (p - 1) // 2
+    return [[tuple(i if value >> (i - 1 - lo) & 1 else p - i
+                   for i in range(lo + 1, min(lo + _CHUNK_BITS, half) + 1))
+             for value in range(1 << min(_CHUNK_BITS, half - lo))]
+            for lo in range(0, half, _CHUNK_BITS)]
+
+
 @dataclass(frozen=True)
 class SetMask:
     """A tournament connection set on Z_p packed into (p-1)/2 choice bits."""
@@ -46,9 +57,11 @@ class SetMask:
 
     def members(self) -> tuple[int, ...]:
         """The set members as sorted residues in [1, p)."""
-        half = (self.p - 1) // 2
-        return tuple(sorted(i if self.bits >> (i - 1) & 1 else self.p - i
-                            for i in range(1, half + 1)))
+        chosen, bits = [], self.bits
+        for table in _member_chunks(self.p):
+            chosen += table[bits & 0xFF]
+            bits >>= _CHUNK_BITS
+        return tuple(sorted(chosen))
 
     @classmethod
     def from_members(cls, p: int, members) -> "SetMask":
@@ -230,15 +243,21 @@ def burnside_count(p: int) -> int:
     """Class count as the average number of fixed sets over all units.
 
     A unit of even order fixes nothing (its cyclic subgroup contains -1);
-    a unit of odd order d fixes exactly 2^((p-1)/(2d)) sets.
+    a unit of odd order d fixes exactly 2^((p-1)/(2d)) sets.  The units are
+    walked as the powers of a primitive root g; g^k has order (p-1)/gcd(k, p-1).
     """
     if not _is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    total = 0
-    for a in units(p):
-        d = mult_order(a, p)
+    g = next(a for a in units(p) if mult_order(a, p) == p - 1)
+    total, x = 0, 1
+    for k in range(p - 1):
+        d = (p - 1) // math.gcd(k, p - 1)
         if d % 2 == 1:
             total += 1 << ((p - 1) // (2 * d))
+        x = x * g % p
+        # the powers are distinct units up to their first return to 1
+        if (x == 1) != (k == p - 2):
+            raise InconsistencyError(f"the powers of {g} mod {p} do not cycle through Z_{p}^*")
     if total % (p - 1):
         raise InconsistencyError(
             f"fixed-set total {total} is not divisible by {p - 1}")

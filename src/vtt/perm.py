@@ -1,15 +1,15 @@
 """Permutations, digraph isomorphism search, automorphism groups, orbits, and
 Cayley recognition.
 
-One backtracking engine finds the first isomorphism that extends a fixed
-prefix of vertex images.  It places vertices in ascending order, tries
-candidates in ascending order, and prunes with two invariants per vertex: the
-(out-degree, in-degree) pair and the number of directed 3-cycles through the
-vertex.  `isomorphic` runs it with an empty prefix.  `automorphisms` builds a
-stabilizer chain along the base 0..n-1 (Sims 1970) with one such search per
-candidate coset representative, so the group order is known, as the product
-of the basic orbit lengths, before any element is built.  Results are
-deterministic.
+One search finds the least isomorphism g -> h that respects a paired vertex
+partition.  Colour refinement (McKay & Piperno 2014) splits paired cells by
+out- and in-neighbour counts in each other cell until the partition is
+equitable; the search places vertices in ascending order, individualizes
+each with its images in turn, ascending, and refines again.  `isomorphic`
+runs it from one cell.  `automorphisms` builds a stabilizer chain along the
+base 0..n-1 (Sims 1970) with one such search per candidate coset
+representative, so the group order is known, as the product of the basic
+orbit lengths, before any element is built.  Results are deterministic.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .errors import InconsistencyError, SizeLimitError
-from .graphs import Digraph
+from .graphs import Digraph, _bits_to_list
 
 Permutation = tuple[int, ...]
 
@@ -131,61 +131,85 @@ def _close(perms: set[Permutation], limit: int | None = None,
     return closure
 
 
-def _vertex_invariants(g: Digraph) -> list[tuple[int, int, int]]:
-    inv = []
-    for v in range(g.n):
-        tri = 0
-        for w in g.out_neighbors(v):
-            tri += (g.adj[w] & g.preds[v]).bit_count()
-        inv.append((g.out_degree(v), g.in_degree(v), tri))
-    return inv
-
-
-def _candidates(g: Digraph, h: Digraph) -> list[list[int]] | None:
-    """For each vertex of g, the vertices of h with equal invariants, ascending;
-    None when the invariants already rule out an isomorphism."""
-    if g.n != h.n or g.num_arcs != h.num_arcs:
-        return None
-    inv_g = _vertex_invariants(g)
-    inv_h = inv_g if h is g else _vertex_invariants(h)
-    if sorted(inv_g) != sorted(inv_h):
-        return None
-    return [[w for w in range(h.n) if inv_h[w] == inv_g[u]] for u in range(g.n)]
-
-
-def _first_extension(g: Digraph, h: Digraph, candidates: list[list[int]],
-                     prefix: list[int]) -> Permutation | None:
-    """The first isomorphism g -> h taking each vertex u < len(prefix) to
-    prefix[u], in ascending candidate order; None if there is none."""
-    n = g.n
-    choices = [[w] if w in candidates[u] else [] for u, w in enumerate(prefix)]
-    choices += candidates[len(prefix):]
-    gadj, hadj = g.adj, h.adj
-    mapping = [-1] * n
-    used = [False] * n
-
-    def place(u: int) -> bool:
-        if u == n:
-            return True
-        for w in choices[u]:
-            if used[w]:
+def _refine(g: Digraph, h: Digraph, cells_g: list[int], cells_h: list[int],
+            splitters: list[int]) -> tuple[list[int], list[int]] | None:
+    """Refine paired partitions in place until equitable, or None once the
+    sides differ.  Cells are bitmasks, cell k of g paired with cell k of h.
+    A splitter splits each non-singleton cell by the key (out-, in-neighbours
+    in it); by sorted key, the first piece keeps the index and the rest are
+    appended and queued, so the pairing never depends on vertex labels."""
+    radix = g.n + 1
+    queue = list(splitters)
+    while queue and len(cells_g) < g.n:
+        s = queue.pop()
+        keyed_g, keyed_h = {}, {}
+        for k in range(len(cells_g)):
+            if not cells_g[k] & (cells_g[k] - 1):
+                continue  # a singleton cannot split; the map is checked once discrete
+            for d, split, cell, keyed in ((g, cells_g[s], cells_g[k], keyed_g),
+                                          (h, cells_h[s], cells_h[k], keyed_h)):
+                keyed.clear()
+                for v in _bits_to_list(cell):
+                    key = (d.adj[v] & split).bit_count() * radix + (d.preds[v] & split).bit_count()
+                    keyed[key] = keyed.get(key, 0) | 1 << v
+            if keyed_g.keys() != keyed_h.keys():
+                return None
+            if len(keyed_g) == 1:
                 continue
-            ok = True
-            for v in range(u):
-                mv = mapping[v]
-                if (gadj[v] >> u & 1) != (hadj[mv] >> w & 1) or \
-                   (gadj[u] >> v & 1) != (hadj[w] >> mv & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[u] = w
-                used[w] = True
-                if place(u + 1):
-                    return True
-                used[w] = False
-        return False
+            keys = sorted(keyed_g)
+            if any(keyed_g[key].bit_count() != keyed_h[key].bit_count() for key in keys):
+                return None
+            pieces = [k, *range(len(cells_g), len(cells_g) + len(keys) - 1)]
+            cells_g[k], cells_h[k] = keyed_g[keys[0]], keyed_h[keys[0]]
+            cells_g += [keyed_g[key] for key in keys[1:]]
+            cells_h += [keyed_h[key] for key in keys[1:]]
+            queue += [i for i in pieces if i not in queue]
+    if len(cells_g) == g.n:  # discrete: a map, equitable iff it keeps every arc
+        mapping = _cell_map(cells_g, cells_h)
+        if any(sum(1 << mapping[x] for x in _bits_to_list(g.adj[v])) != h.adj[w]
+               for v, w in enumerate(mapping)):
+            return None
+    return cells_g, cells_h
 
-    return tuple(mapping) if place(0) else None
+
+def _cell_map(cells_g: list[int], cells_h: list[int]) -> list[int]:
+    """The map that a discrete paired partition defines (masks 1 << v sort by v)."""
+    return [cell_h.bit_length() - 1 for _, cell_h in sorted(zip(cells_g, cells_h))]
+
+
+def _cell_of(cells: list[int], u: int) -> int:
+    return next(k for k, cell in enumerate(cells) if cell >> u & 1)
+
+
+def _individualize(g: Digraph, h: Digraph, cells: tuple[list[int], list[int]],
+                   u: int, w: int) -> tuple[list[int], list[int]] | None:
+    """The paired partition with u, and w on the h side, in a new paired
+    singleton cell, refined; w must lie in the cell paired with u's."""
+    cells_g, cells_h = cells
+    k = _cell_of(cells_g, u)
+    if cells_g[k] == 1 << u:
+        return cells  # a singleton pair is already individualized
+    cells_g, cells_h = cells_g + [1 << u], cells_h + [1 << w]
+    cells_g[k] ^= 1 << u
+    cells_h[k] ^= 1 << w
+    return _refine(g, h, cells_g, cells_h, [len(cells_g) - 1])
+
+
+def _extend(g: Digraph, h: Digraph, cells: tuple[list[int], list[int]] | None,
+            u: int) -> Permutation | None:
+    """The least isomorphism g -> h that respects the paired partition, or
+    None: it places u, u+1, ... (those below u are singletons already) and
+    tries each one's paired cell in ascending order.  Refinement only drops
+    images that no isomorphism uses, so the least map is still found."""
+    if cells is None:
+        return None
+    cells_g, cells_h = cells
+    if len(cells_g) == g.n:
+        return tuple(_cell_map(cells_g, cells_h))
+    for w in _bits_to_list(cells_h[_cell_of(cells_g, u)]):
+        if (found := _extend(g, h, _individualize(g, h, cells, u, w), u + 1)) is not None:
+            return found
+    return None
 
 
 def is_automorphism(g: Digraph, p: Permutation) -> bool:
@@ -199,8 +223,9 @@ def isomorphic(g: Digraph, h: Digraph) -> Permutation | None:
 
     Every returned witness is re-verified arc by arc before being handed out.
     """
-    candidates = _candidates(g, h)
-    p = None if candidates is None else _first_extension(g, h, candidates, [])
+    if g.n != h.n:
+        return None
+    p = _extend(g, h, _refine(g, h, [(1 << g.n) - 1], [(1 << h.n) - 1], [0]), 0)
     if p is None:
         return None
     mapped = {(p[u], p[v]) for u, v in g.arcs()}
@@ -229,27 +254,30 @@ def automorphisms(g: Digraph, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
     The group is built as a stabilizer chain along the base 0..n-1, from
     u = n-1 down to 0.  Level u keeps a transversal of G_u, the automorphisms
     fixing 0..u-1, over G_(u+1): one element of G_u taking u to each vertex of
-    u's orbit.  Each candidate w outside the orbit reached so far costs one
-    first-found search with 0..u-1 fixed and u -> w; a hit is a new
-    generator, and the orbit grows under all generators found.  |G_u| is the
-    product of the transversal lengths from u up, so MAX_AUT_ELEMENTS is
-    checked against it at every level, and the elements, the products of one
-    transversal element per level, are built only after the whole order has
-    passed.
+    u's orbit.  Each candidate w, in u's cell once 0..u-1 are individualized
+    and outside the orbit reached so far, costs one search with 0..u-1 fixed
+    and u -> w; a hit is a new generator.  |G_u| is the product of the
+    transversal lengths from u up, so MAX_AUT_ELEMENTS is checked against it
+    at every level, before any element, a product of one transversal element
+    per level, is built.
     """
     if g.n > cap:
         raise SizeLimitError(
             f"automorphism enumeration capped at {cap} vertices, graph has {g.n}")
     n = g.n
-    candidates = _candidates(g, g)
+    # levels[u]: the refined partition with 0..u-1 individualized
+    levels = [_refine(g, g, [(1 << n) - 1], [(1 << n) - 1], [0])]
+    for u in range(n - 1):
+        levels.append(_individualize(g, g, levels[-1], u, u))
     generators: list[Permutation] = []
     transversals = []
     order = 1
     for u in reversed(range(n)):
         reps = _transversal(u, generators, n)
-        for w in candidates[u]:
+        cells = levels[u]
+        for w in _bits_to_list(cells[1][_cell_of(cells[0], u)]):
             if w > u and w not in reps:
-                found = _first_extension(g, g, candidates, [*range(u), w])
+                found = _extend(g, g, _individualize(g, g, cells, u, w), u + 1)
                 if found is not None:
                     generators.append(found)
                     reps = _transversal(u, generators, n)

@@ -3,6 +3,7 @@ import os
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -177,6 +178,24 @@ class TestVerify:
     def test_bad_input(self, capsys):
         code, _, _ = run(capsys, "verify", "9")
         assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_class_sizes_compared(self, capsys, monkeypatch, fmt):
+        # four classes as the formula says, but sizes 2, 2, 10, 10 where the
+        # formula has one class of size 2 and three of size 10
+        real = cli.enumeration.equivalence_classes
+
+        def resized(p, **kwargs):
+            report = real(p, **kwargs)
+            classes = [replace(c, size=size) for c, size in zip(report.classes, (2, 2, 10, 10))]
+            return replace(report, classes=tuple(classes))
+        monkeypatch.setattr(cli.enumeration, "equivalence_classes", resized)
+        code, out, _ = run(capsys, "verify", "11", "--format", fmt)
+        assert code == 1
+        if fmt == "json":
+            assert json.loads(out)["ok"] is False
+        else:
+            assert out == "formula=4 enumeration=4 burnside=4 MISMATCH\n"
 
 
 class TestRecognize:

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from vtt import enumeration, groups
+from vtt.counting import class_count
 from vtt.enumeration import (
     ClassReport,
     SetMask,
@@ -13,7 +14,7 @@ from vtt.enumeration import (
     invariant_sets,
     unit_multiplier,
 )
-from vtt.errors import SizeLimitError
+from vtt.errors import InconsistencyError, SizeLimitError
 from vtt.graphs import cayley_digraph
 from vtt.groups import cyclic, cyclic_subgroup, mult_order, units
 from vtt.perm import isomorphic
@@ -25,6 +26,15 @@ class TestSetMask:
         assert SetMask(11, 0).members() == (6, 7, 8, 9, 10)
         assert SetMask(3, 1).members() == (1,)
         assert SetMask(3, 0).members() == (2,)
+
+    @pytest.mark.parametrize("p", [17, 19, 37, 53, 101])
+    def test_members_match_bitwise_decoding(self, p):
+        # masks of one 8-bit chunk, a chunk and a bit, and several chunks
+        half = (p - 1) // 2
+        rng = random.Random(p)
+        for bits in [0, (1 << half) - 1, *(rng.getrandbits(half) for _ in range(50))]:
+            want = sorted(i if bits >> (i - 1) & 1 else p - i for i in range(1, half + 1))
+            assert SetMask(p, bits).members() == tuple(want)
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_round_trip(self, p):
@@ -224,6 +234,16 @@ class TestBurnsideCount:
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19])
     def test_agrees_with_enumeration(self, p):
         assert burnside_count(p) == equivalence_classes(p).count
+
+    def test_walk_must_cover_the_units(self, monkeypatch):
+        # with 1 taken for a primitive root the walk returns to 1 at once
+        monkeypatch.setattr(enumeration, "mult_order", lambda a, p: p - 1)
+        with pytest.raises(InconsistencyError, match="powers of 1"):
+            burnside_count(11)
+
+    def test_agrees_with_formula(self):
+        primes = [p for p in range(3, 1010) if groups.is_prime(p)]
+        assert [burnside_count(p) for p in primes] == [class_count(p) for p in primes]
 
 
 class TestGraphLevelSoundness:

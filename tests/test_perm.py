@@ -1,10 +1,11 @@
 import random
+import time
 import tracemalloc
 from itertools import permutations
 
 import pytest
 
-from vtt.enumeration import equivalence_classes
+from vtt.enumeration import SetMask, _orbit, equivalence_classes, unit_multiplier
 from vtt.errors import InconsistencyError, SizeLimitError
 from vtt.graphs import Digraph, cayley_digraph, cycle, k_cube, kneser, petersen, relabel
 from vtt.groups import AbelianGroup, cyclic
@@ -27,6 +28,10 @@ from vtt.perm import (
 )
 
 TRIANGLE = cayley_digraph(cyclic(3), {1})
+
+
+def circulant_tournament(p, bits):
+    return cayley_digraph(cyclic(p), set(SetMask(p, bits).members()))
 
 
 def random_perm_group(rng, degree, n_gens=2):
@@ -87,6 +92,49 @@ class TestIsomorphic:
     def test_mismatched_sizes(self):
         assert isomorphic(TRIANGLE, cycle(4)) is None
 
+    def test_witness_is_least_isomorphism(self):
+        # the first isomorphism in lexicographic order of (pi[0], pi[1], ...),
+        # or None, on pairs that are isomorphic and pairs that are not
+        rng = random.Random(20261018)
+        graphs = [cayley_digraph(cyclic(7), {1, 2, 4}), cycle(6), k_cube(2)]
+        for _ in range(40):
+            n = rng.randint(1, 7)
+            density = rng.random()
+            graphs.append(Digraph.from_arcs(n, [(u, v) for u in range(n) for v in range(n)
+                                                if u != v and rng.random() < density]))
+        for g in graphs:
+            images = list(range(g.n))
+            rng.shuffle(images)
+            h = relabel(g, images)
+            arcs = h.arcs()
+            if arcs and rng.random() < 0.5:  # move one arc: same arc count, maybe not isomorphic
+                u, v = rng.choice(arcs)
+                free = [(a, b) for a in range(g.n) for b in range(g.n)
+                        if a != b and not h.has_arc(a, b)]
+                if free:
+                    arcs.remove((u, v))
+                    h = Digraph.from_arcs(g.n, arcs + [rng.choice(free)])
+            target = set(h.arcs())
+            least = next((pi for pi in permutations(range(g.n))
+                          if len(target) == g.num_arcs
+                          and all((pi[u], pi[v]) in target for u, v in g.arcs())), None)
+            assert isomorphic(g, h) == least
+
+    @pytest.mark.parametrize("p", [37, 41, 43, 47, 53])
+    def test_circulant_pairs_follow_unit_multiples(self, p):
+        # two tournaments Cay(Z_p, S), Cay(Z_p, T) of prime order are isomorphic
+        # iff T = aS for a unit a (Turner 1967); half the pairs are unit multiples
+        rng = random.Random(p)
+        half = (p - 1) // 2
+        for k in range(10):
+            s = SetMask(p, rng.getrandbits(half)).members()
+            if k % 2:
+                t = [rng.randrange(1, p) * x % p for x in s]
+            else:
+                t = SetMask(p, rng.getrandbits(half)).members()
+            g, h = cayley_digraph(cyclic(p), set(s)), cayley_digraph(cyclic(p), set(t))
+            assert (isomorphic(g, h) is not None) == (unit_multiplier(p, s, t) is not None)
+
     def test_witness_maps_arcs_exactly(self):
         g = petersen()
         rng = random.Random(3)
@@ -139,12 +187,29 @@ class TestAutomorphisms:
         everything = tuple(p for p in permutations(range(g.n)) if is_automorphism(g, p))
         assert automorphisms(g).elements == everything
 
-    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
     def test_circulant_order_from_class_size(self, p):
         # Aut(Cay(Z_p, S)) = Z_p x| H with |H| = (p-1)/size of the class of S
-        for info in equivalence_classes(p).classes:
-            g = cayley_digraph(cyclic(p), set(info.rep.members()))
-            assert len(automorphisms(g, cap=p)) == p * (p - 1) // info.size
+        if p <= 23:
+            sizes = {info.rep.bits: info.size for info in equivalence_classes(p).classes}
+        else:  # mask 0 and seeded masks, with the Paley tournament where p = 3 mod 4
+            rng = random.Random(p)
+            masks = {0, *(rng.getrandbits((p - 1) // 2) for _ in range(3))}
+            sizes = {bits: len(_orbit(p, bits)) for bits in masks}
+            if p % 4 == 3:
+                paley = SetMask.from_members(p, {x * x % p for x in range(1, p)}).bits
+                assert len(_orbit(p, paley)) == 2
+                sizes[paley] = 2
+        for bits, size in sizes.items():
+            g = circulant_tournament(p, bits)
+            assert len(automorphisms(g, cap=p)) == p * (p - 1) // size
+
+    def test_circulant_search_stays_polynomial(self):
+        # the invariant-only search took minutes here: each vertex looked alike
+        start = time.perf_counter()
+        aut = automorphisms(circulant_tournament(53, 0), cap=53)
+        assert time.perf_counter() - start < 2
+        assert len(aut) == 53
 
     def test_order_checked_before_elements(self, monkeypatch):
         # the empty graph on 8 vertices has 8! = 40,320 automorphisms
