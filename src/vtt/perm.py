@@ -1,15 +1,19 @@
 """Permutations, digraph isomorphism search, automorphism groups, orbits, and
 Cayley recognition.
 
-One search finds the least isomorphism g -> h that respects a paired vertex
-partition.  Colour refinement (McKay & Piperno 2014) splits paired cells by
-out- and in-neighbour counts in each other cell until the partition is
-equitable; the search places vertices in ascending order, individualizes
-each with its images in turn, ascending, and refines again.  `isomorphic`
-runs it from one cell.  `automorphisms` builds a stabilizer chain along the
-base 0..n-1 (Sims 1970) with one such search per candidate coset
-representative, so the group order is known, as the product of the basic
-orbit lengths, before any element is built.  Results are deterministic.
+Groups grow by walking products of generators breadth first from the
+identity, |G|*|gens| compositions for a group G: `_walk` keeps one product
+per key value, `_semiregular_walk` one per image of 0 until a product shows
+the group is not semiregular.  One search finds the least isomorphism
+g -> h that respects a paired vertex partition.  Colour refinement (McKay &
+Piperno 2014) splits paired cells by out- and in-neighbour counts in each
+other cell until the partition is equitable; the search places vertices in
+ascending order, individualizes each with its images in turn, ascending,
+and refines again.  `isomorphic` runs it from one cell.  `automorphisms`
+builds a stabilizer chain along the base 0..n-1 (Sims 1970) with one such
+search per candidate coset representative and `_walk` transversals, so the
+group order is known, as the product of the basic orbit lengths, before any
+element is built.  Results are deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable
 
 from .errors import InconsistencyError, SizeLimitError
 from .graphs import Digraph, _bits_to_list
@@ -83,6 +86,7 @@ def perm_str(p: Permutation) -> str:
 class PermGroup:
     """A permutation group materialized as an explicit element list.
 
+    `from_generators` lists the products of the generators by `_walk`.
     `automorphisms`, `from_generators` and `stabilizer` list the elements in
     ascending order, which `find_regular_subgroup` relies on."""
 
@@ -101,34 +105,13 @@ class PermGroup:
         for g in gens:
             if sorted(g) != list(range(degree)):
                 raise ValueError(f"{g} is not a permutation of degree {degree}")
-        closure = _close({identity_perm(degree), *gens})
-        return cls(degree, tuple(sorted(closure)))
+        return cls(degree, tuple(sorted(_walk(degree, gens, lambda p: p))))
 
     def orbit(self, v: int) -> set[int]:
         return {p[v] for p in self.elements}
 
     def stabilizer(self, v: int) -> "PermGroup":
         return PermGroup(self.degree, tuple(p for p in self.elements if p[v] == v))
-
-
-def _close(perms: set[Permutation], limit: int | None = None,
-           allowed: Callable[[Permutation], bool] | None = None) -> set[Permutation] | None:
-    """Closure under composition; None once `limit` is exceeded or an element
-    fails `allowed`."""
-    closure = set(perms)
-    frontier = list(perms)
-    while frontier:
-        x = frontier.pop()
-        for y in tuple(closure):
-            for z in (compose(x, y), compose(y, x)):
-                if z not in closure:
-                    if allowed is not None and not allowed(z):
-                        return None
-                    closure.add(z)
-                    if limit is not None and len(closure) > limit:
-                        return None
-                    frontier.append(z)
-    return closure
 
 
 def _refine(g: Digraph, h: Digraph, cells_g: list[int], cells_h: list[int],
@@ -234,18 +217,42 @@ def isomorphic(g: Digraph, h: Digraph) -> Permutation | None:
     return p
 
 
-def _transversal(u: int, generators: list[Permutation], n: int) -> dict[int, Permutation]:
-    """For each vertex w in the orbit of u under the generators, one product
-    of generators taking u to w."""
-    reps = {u: identity_perm(n)}
-    queue = [u]
+def _walk(n: int, generators: list[Permutation], key) -> dict:
+    """The first product of generators found, breadth first from the
+    identity, for each value of key: the whole group keyed by the element, a
+    transversal of u's orbit keyed by the image of u."""
+    ident = identity_perm(n)
+    found = {key(ident): ident}
+    queue = [ident]
     for x in queue:
         for s in generators:
-            y = s[x]
-            if y not in reps:
-                reps[y] = compose(s, reps[x])
+            y = compose(s, x)
+            if (k := key(y)) not in found:
+                found[k] = y
                 queue.append(y)
-    return reps
+    return found
+
+
+def _semiregular_walk(n: int, generators: list[Permutation]) -> dict[int, Permutation] | None:
+    """The generated group keyed by the image of 0, or None once it is not
+    semiregular: a product other than the identity fixes a point, or two
+    take 0 to the same vertex (the stabilizer of 0 is nontrivial).  A walk
+    that ends is closed under the generators, so it holds the whole group."""
+    ident = identity_perm(n)
+    by_image = {0: ident}
+    queue = [ident]
+    for x in queue:
+        for s in generators:
+            y = compose(s, x)
+            held = by_image.get(y[0])
+            if held is None:
+                if fixed_points(y):
+                    return None
+                by_image[y[0]] = y
+                queue.append(y)
+            elif held != y:
+                return None
+    return by_image
 
 
 def automorphisms(g: Digraph, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
@@ -273,14 +280,14 @@ def automorphisms(g: Digraph, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
     transversals = []
     order = 1
     for u in reversed(range(n)):
-        reps = _transversal(u, generators, n)
+        reps = _walk(n, generators, itemgetter(u))
         cells = levels[u]
         for w in _bits_to_list(cells[1][_cell_of(cells[0], u)]):
             if w > u and w not in reps:
                 found = _extend(g, g, _individualize(g, g, cells, u, w), u + 1)
                 if found is not None:
                     generators.append(found)
-                    reps = _transversal(u, generators, n)
+                    reps = _walk(n, generators, itemgetter(u))
         order *= len(reps)
         if order > MAX_AUT_ELEMENTS:
             raise SizeLimitError(
@@ -329,44 +336,36 @@ def burnside_orbit_count(group: PermGroup, n: int) -> int:
 def find_regular_subgroup(aut: PermGroup, n: int) -> PermGroup | None:
     """A transitive subgroup of order n with trivial stabilizers, if any.
 
-    In a regular group every non-identity element is fixed-point-free, which
-    prunes the candidates hard.  An element whose order does not divide n
-    needs no test of its own: its closure's size is a multiple of that order
-    (Lagrange), so the size check rejects it.  Each step extends the
-    current closure by an element taking 0 to the smallest vertex it does not
-    reach yet; a regular group holds exactly one such element, so branching
-    on these alone misses none.  Since aut's elements ascend, those taking 0
-    to v form one slice, filtered only when the search reaches v.
+    Each step adds a fixed-point-free generator taking 0 to the smallest
+    vertex the group does not reach yet, and `_semiregular_walk` drops it at
+    the first product that fixes a point.  A regular group holds exactly one
+    element taking 0 to that vertex, so branching on these alone misses none.
+    The orbits of a semiregular group all have its order, so it divides n.
+    Since aut's elements ascend, those taking 0 to v form one slice,
+    filtered only when the search reaches v.
     """
-    ident = identity_perm(n)
+    if aut.degree != n:
+        raise ValueError(f"group degree {aut.degree} does not match n={n}")
     elements = aut.elements
-
-    def allowed(p: Permutation) -> bool:
-        return p == ident or fixed_points(p) == 0
-
     taking_0_to: dict[int, list[Permutation]] = {}
 
-    def extend(current: set[Permutation]) -> set[Permutation] | None:
-        if len(current) == n:
-            return current
-        reached = {p[0] for p in current}
-        target = next(v for v in range(n) if v not in reached)
+    def extend(generators: list[Permutation]) -> dict[int, Permutation] | None:
+        group = _semiregular_walk(n, generators)
+        if group is None or len(group) == n:
+            return group
+        target = next(v for v in range(n) if v not in group)
         if target not in taking_0_to:
             lo, hi = bisect_left(elements, (target,)), bisect_left(elements, (target + 1,))
-            taking_0_to[target] = [p for p in elements[lo:hi] if allowed(p)]
+            taking_0_to[target] = [p for p in elements[lo:hi] if not fixed_points(p)]
         for p in taking_0_to[target]:
-            closed = _close(current | {p}, limit=n, allowed=allowed)
-            if closed is None or n % len(closed):
-                continue
-            result = extend(closed)
-            if result is not None:
+            if (result := extend(generators + [p])) is not None:
                 return result
         return None
 
-    hit = extend({ident})
+    hit = extend([])
     if hit is None:
         return None
-    sub = PermGroup(n, tuple(sorted(hit)))
+    sub = PermGroup(n, tuple(sorted(hit.values())))
     if len(sub.orbit(0)) != n:
         raise InconsistencyError("regular subgroup candidate is not transitive")
     return sub

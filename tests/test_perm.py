@@ -65,6 +65,14 @@ class TestPermBasics:
         assert len(g) == 3
         assert identity_perm(3) in g
 
+    def test_from_generators_walks_generator_products(self):
+        # S_7 takes |G|*|gens| = 10,080 compositions; an all-pairs closure
+        # needs about |G|^2 = 2.5e7
+        start = time.perf_counter()
+        s7 = PermGroup.from_generators(7, [(1, 2, 3, 4, 5, 6, 0), (1, 0, 2, 3, 4, 5, 6)])
+        assert time.perf_counter() - start < 1
+        assert len(s7) == 5040
+
     def test_from_generators_rejects_non_permutation(self):
         with pytest.raises(ValueError):
             PermGroup.from_generators(3, [(0, 0, 1)])
@@ -326,6 +334,28 @@ class TestRegularSubgroup:
         assert len(aut) == 720
         assert orbits(aut, 15) == [list(range(15))]
         assert find_regular_subgroup(aut, 15) is None
+
+    def test_search_agrees_with_brute_force_on_random_groups(self):
+        # every group of order at most 6 is 2-generated, and a regular group's
+        # non-identity elements are fixed-point-free, so a regular subgroup
+        # exists iff one or two such elements generate a transitive group of
+        # order n
+        rng = random.Random(20261018)
+        for _ in range(40):
+            n = rng.randint(2, 6)
+            g = random_perm_group(rng, n, rng.randint(1, 2))
+            fpf = [p for p in g if not fixed_points(p)]
+            exists = any(len(h := PermGroup.from_generators(n, [a, b])) == n
+                         and len(h.orbit(0)) == n for a in fpf for b in fpf)
+            reg = find_regular_subgroup(g, n)
+            assert (reg is not None) == exists
+            if reg is not None:
+                assert len(reg) == n and len(reg.orbit(0)) == n
+                assert set(reg.elements) <= set(g.elements)
+
+    def test_degree_mismatch(self):
+        with pytest.raises(ValueError):
+            find_regular_subgroup(PermGroup.from_generators(3, [(1, 2, 0)]), 4)
 
     def test_one_vertex_is_cayley(self):
         reg = is_cayley(Digraph(1, (0,)))
