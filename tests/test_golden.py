@@ -14,7 +14,7 @@ from vtt import cli
 GOLDEN = Path(__file__).parent / "golden"
 
 ODD_PRIMES_TO_31 = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
-GRAPHS = ("petersen", "z7-tournament", "q4", "clebsch")
+GRAPHS = ("petersen", "z7-tournament", "q4", "clebsch", "c5-c3", "c4-c4")
 
 CASES = {
     "count-3..83": "count 3..83",
