@@ -30,7 +30,6 @@ from .perm import (
     PermGroup,
     automorphisms,
     burnside_orbit_count,
-    is_cayley,
     isomorphic,
     orbits,
 )

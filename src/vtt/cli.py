@@ -67,10 +67,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--aut-cap", type=int, metavar="N",
                         default=_env_default("AUT_CAP", perm.DEFAULT_AUT_CAP, int),
                         help="vertex cap for automorphism search, checked on the graph "
-                             "file's header before the graph is built; a group of more "
-                             f"than {perm.MAX_AUT_ELEMENTS:,} elements also exits 3, checked "
-                             "against the group order before any element is built "
-                             "(default: %(default)s)")
+                             "file's header before the graph is built; a group of order "
+                             f"more than {perm.MAX_AUT_ELEMENTS:,} also exits 3, checked as "
+                             "its stabilizer chain grows (default: %(default)s)")
     common.add_argument("--workers", type=int, metavar="W",
                         default=_env_default("WORKERS", 1, int),
                         help="accepted for compatibility and checked to be >= 1; has no "

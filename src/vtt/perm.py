@@ -11,15 +11,14 @@ other cell until the partition is equitable; the search places vertices in
 ascending order, individualizes each with its images in turn, ascending,
 and refines again.  `isomorphic` runs it from one cell.  `automorphisms`
 builds a stabilizer chain along the base 0..n-1 (Sims 1970) with one such
-search per candidate coset representative and `_walk` transversals, so the
-group order is known, as the product of the basic orbit lengths, before any
-element is built.  Results are deterministic.
+search per candidate coset representative and `_walk` transversals.  A
+`PermGroup` is that chain: its order is the product of the basic orbit
+lengths, and `_products` walks its elements lazily.  Results are deterministic.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -29,7 +28,8 @@ from .graphs import Digraph, _bits_to_list
 Permutation = tuple[int, ...]
 
 DEFAULT_AUT_CAP = 16
-# Largest automorphism group whose elements are built; C5[C3] has 77,760.
+# Largest automorphism group order admitted (C5[C3] has 77,760): the regular-
+# subgroup search walks cosets of G_1, of 15! elements for the empty 16-vertex graph.
 MAX_AUT_ELEMENTS = 100_000
 
 
@@ -84,20 +84,20 @@ def perm_str(p: Permutation) -> str:
 
 @dataclass(frozen=True)
 class PermGroup:
-    """A permutation group materialized as an explicit element list.
+    """A permutation group kept as a stabilizer chain along the base 0..n-1.
 
-    `from_generators` lists the products of the generators by `_walk`.
-    `automorphisms`, `from_generators` and `stabilizer` list the elements in
-    ascending order, which `find_regular_subgroup` relies on."""
+    `levels[u]` maps each point of u's orbit under G_u, the elements fixing
+    0..u-1, to one element of G_u that takes u there.  The group's elements
+    are the products of one element per level, walked by `_products`."""
 
     degree: int
-    elements: tuple[Permutation, ...]
+    levels: tuple[dict[int, Permutation], ...]
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return math.prod(len(level) for level in self.levels)
 
     def __iter__(self):
-        return iter(self.elements)
+        return _products(self.levels, 0, identity_perm(self.degree))
 
     @classmethod
     def from_generators(cls, degree: int, generators) -> "PermGroup":
@@ -105,13 +105,38 @@ class PermGroup:
         for g in gens:
             if sorted(g) != list(range(degree)):
                 raise ValueError(f"{g} is not a permutation of degree {degree}")
-        return cls(degree, tuple(sorted(_walk(degree, gens, lambda p: p))))
+        return cls.from_elements(degree, _walk(degree, gens, lambda p: p).values())
+
+    @classmethod
+    def from_elements(cls, degree: int, elements) -> "PermGroup":
+        """The chain of the group made of exactly these elements."""
+        ident = identity_perm(degree)
+        levels = [{u: ident} for u in range(degree)]
+        for p in elements:
+            u = next((u for u in range(degree) if p[u] != u), None)
+            if u is not None:
+                levels[u].setdefault(p[u], p)
+        return cls(degree, tuple(levels))
 
     def orbit(self, v: int) -> set[int]:
-        return {p[v] for p in self.elements}
+        generators = [t for level in self.levels for t in level.values()]
+        return set(_walk(self.degree, generators, itemgetter(v)))
 
     def stabilizer(self, v: int) -> "PermGroup":
-        return PermGroup(self.degree, tuple(p for p in self.elements if p[v] == v))
+        return PermGroup.from_elements(self.degree, (p for p in self if p[v] == v))
+
+
+def _products(levels, u: int, x: Permutation, moving: bool = False):
+    """x times each product of one element per level from u on, ascending, as
+    level u's t puts x[t[u]] at u and later levels fix 0..u.  With moving, a
+    branch ends once its product fixes u."""
+    if u == len(levels):
+        yield x
+        return
+    for t in sorted(levels[u].values(), key=lambda t: x[t[u]]):
+        y = compose(x, t)
+        if not (moving and y[u] == u):
+            yield from _products(levels, u + 1, y, moving)
 
 
 def _refine(g: Digraph, h: Digraph, cells_g: list[int], cells_h: list[int],
@@ -256,32 +281,30 @@ def _semiregular_walk(n: int, generators: list[Permutation]) -> dict[int, Permut
 
 
 def automorphisms(g: Digraph, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
-    """All arc-preserving permutations of g, in ascending order.
+    """All arc-preserving permutations of g, as a stabilizer chain.
 
-    The group is built as a stabilizer chain along the base 0..n-1, from
-    u = n-1 down to 0.  Level u keeps a transversal of G_u, the automorphisms
-    fixing 0..u-1, over G_(u+1): one element of G_u taking u to each vertex of
-    u's orbit.  Each candidate w, in u's cell once 0..u-1 are individualized
-    and outside the orbit reached so far, costs one search with 0..u-1 fixed
-    and u -> w; a hit is a new generator.  |G_u| is the product of the
-    transversal lengths from u up, so MAX_AUT_ELEMENTS is checked against it
-    at every level, before any element, a product of one transversal element
-    per level, is built.
+    The chain is built along the base 0..n-1, from u = n-1 down to 0.  Level
+    u keeps a transversal of G_u, the automorphisms fixing 0..u-1, over
+    G_(u+1): one element of G_u taking u to each vertex of u's orbit.  Each
+    candidate w, in u's cell once 0..u-1 are individualized and outside the
+    orbit reached so far, costs one search with 0..u-1 fixed and u -> w; a
+    hit is a new generator.  |G_u| is the product of the transversal lengths
+    from u up, so MAX_AUT_ELEMENTS is checked against it at every level.
     """
     if g.n > cap:
         raise SizeLimitError(
             f"automorphism enumeration capped at {cap} vertices, graph has {g.n}")
     n = g.n
-    # levels[u]: the refined partition with 0..u-1 individualized
-    levels = [_refine(g, g, [(1 << n) - 1], [(1 << n) - 1], [0])]
+    # partitions[u]: the refined partition with 0..u-1 individualized
+    partitions = [_refine(g, g, [(1 << n) - 1], [(1 << n) - 1], [0])]
     for u in range(n - 1):
-        levels.append(_individualize(g, g, levels[-1], u, u))
+        partitions.append(_individualize(g, g, partitions[-1], u, u))
     generators: list[Permutation] = []
-    transversals = []
+    levels = []
     order = 1
     for u in reversed(range(n)):
         reps = _walk(n, generators, itemgetter(u))
-        cells = levels[u]
+        cells = partitions[u]
         for w in _bits_to_list(cells[1][_cell_of(cells[0], u)]):
             if w > u and w not in reps:
                 found = _extend(g, g, _individualize(g, g, cells, u, w), u + 1)
@@ -292,30 +315,18 @@ def automorphisms(g: Digraph, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
         if order > MAX_AUT_ELEMENTS:
             raise SizeLimitError(
                 f"more than {MAX_AUT_ELEMENTS} automorphisms, enumeration stopped")
-        if len(reps) > 1:
-            transversals.append(reps.values())
-    elements = [identity_perm(n)]
-    for reps in transversals:
-        # itemgetter(*h)(t) == compose(t, h), without a Python-level loop
-        right_factors = [itemgetter(*h) for h in elements]
-        elements = [times_h(t) for t in reps for times_h in right_factors]
-    elements.sort()
-    return PermGroup(n, tuple(elements))
+        levels.append(reps)
+    return PermGroup(n, tuple(reversed(levels)))
 
 
 def orbits(group: PermGroup, n: int) -> list[list[int]]:
     """Orbit partition of {0..n-1}, blocks sorted by their minimum."""
     if group.degree != n:
         raise ValueError(f"group degree {group.degree} does not match n={n}")
-    seen = [False] * n
-    blocks = []
+    blocks: list[list[int]] = []
     for v in range(n):
-        if seen[v]:
-            continue
-        block = sorted({p[v] for p in group.elements})
-        for w in block:
-            seen[w] = True
-        blocks.append(block)
+        if not any(v in block for block in blocks):
+            blocks.append(sorted(group.orbit(v)))
     return blocks
 
 
@@ -323,14 +334,14 @@ def burnside_orbit_count(group: PermGroup, n: int) -> int:
     """Number of orbits as the average fixed-point count over the group."""
     if group.degree != n:
         raise ValueError(f"group degree {group.degree} does not match n={n}")
-    if not group.elements:
+    if not len(group):
         raise ValueError("empty element list is not a group")
-    total = sum(fixed_points(p) for p in group.elements)
-    if total % len(group.elements):
+    total = sum(fixed_points(p) for p in group)
+    if total % len(group):
         raise InconsistencyError(
-            f"fixed-point sum {total} is not divisible by {len(group.elements)}; "
+            f"fixed-point sum {total} is not divisible by {len(group)}; "
             "input is not a group")
-    return total // len(group.elements)
+    return total // len(group)
 
 
 def find_regular_subgroup(aut: PermGroup, n: int) -> PermGroup | None:
@@ -341,23 +352,19 @@ def find_regular_subgroup(aut: PermGroup, n: int) -> PermGroup | None:
     the first product that fixes a point.  A regular group holds exactly one
     element taking 0 to that vertex, so branching on these alone misses none.
     The orbits of a semiregular group all have its order, so it divides n.
-    Since aut's elements ascend, those taking 0 to v form one slice,
-    filtered only when the search reaches v.
+    The candidates taking 0 to v are walked from the coset levels[0][v]*G_1.
     """
     if aut.degree != n:
         raise ValueError(f"group degree {aut.degree} does not match n={n}")
-    elements = aut.elements
-    taking_0_to: dict[int, list[Permutation]] = {}
+    if len(aut.levels[0]) != n:
+        return None  # a regular subgroup is transitive, so aut is too
 
     def extend(generators: list[Permutation]) -> dict[int, Permutation] | None:
         group = _semiregular_walk(n, generators)
         if group is None or len(group) == n:
             return group
         target = next(v for v in range(n) if v not in group)
-        if target not in taking_0_to:
-            lo, hi = bisect_left(elements, (target,)), bisect_left(elements, (target + 1,))
-            taking_0_to[target] = [p for p in elements[lo:hi] if not fixed_points(p)]
-        for p in taking_0_to[target]:
+        for p in _products(aut.levels, 1, aut.levels[0][target], moving=True):
             if (result := extend(generators + [p])) is not None:
                 return result
         return None
@@ -365,12 +372,7 @@ def find_regular_subgroup(aut: PermGroup, n: int) -> PermGroup | None:
     hit = extend([])
     if hit is None:
         return None
-    sub = PermGroup(n, tuple(sorted(hit.values())))
+    sub = PermGroup.from_elements(n, hit.values())
     if len(sub.orbit(0)) != n:
         raise InconsistencyError("regular subgroup candidate is not transitive")
     return sub
-
-
-def is_cayley(g: Digraph, cap: int = DEFAULT_AUT_CAP) -> PermGroup | None:
-    """A regular subgroup of Aut(g) when g is a Cayley digraph, else None."""
-    return find_regular_subgroup(automorphisms(g, cap), g.n)

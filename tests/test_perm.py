@@ -7,7 +7,8 @@ import pytest
 
 from vtt.enumeration import SetMask, _orbit, equivalence_classes, unit_multiplier
 from vtt.errors import InconsistencyError, SizeLimitError
-from vtt.graphs import Digraph, cayley_digraph, cycle, k_cube, kneser, petersen, relabel
+from vtt.graphs import (
+    Digraph, cayley_digraph, cycle, k_cube, kneser, petersen, relabel, wreath_product)
 from vtt.groups import AbelianGroup, cyclic
 from vtt import perm
 from vtt.perm import (
@@ -20,7 +21,6 @@ from vtt.perm import (
     identity_perm,
     inverse_perm,
     is_automorphism,
-    is_cayley,
     isomorphic,
     orbits,
     perm_order,
@@ -34,13 +34,23 @@ def circulant_tournament(p, bits):
     return cayley_digraph(cyclic(p), set(SetMask(p, bits).members()))
 
 
-def random_perm_group(rng, degree, n_gens=2):
+def random_generators(rng, degree, n_gens):
     gens = []
     for _ in range(n_gens):
         images = list(range(degree))
         rng.shuffle(images)
         gens.append(tuple(images))
-    return PermGroup.from_generators(degree, gens)
+    return gens
+
+
+def brute_force_closure(degree, gens):
+    """Every product of gens: compose the newest products with each generator
+    until none is new."""
+    found = frontier = {identity_perm(degree)}
+    while frontier:
+        frontier = {compose(s, p) for p in frontier for s in gens} - found
+        found = found | frontier
+    return found
 
 
 class TestPermBasics:
@@ -157,7 +167,7 @@ class TestAutomorphisms:
     def test_directed_triangle_has_rotations_only(self):
         aut = automorphisms(TRIANGLE)
         assert len(aut) == 3
-        assert aut.elements == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        assert tuple(aut) == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
     def test_petersen_group_order(self):
         assert len(automorphisms(petersen())) == 120
@@ -193,7 +203,7 @@ class TestAutomorphisms:
     ], ids=["triangle", "path", "empty5", "C6", "Q2", "Z7", "Z6", "mixed7"])
     def test_matches_brute_force(self, g):
         everything = tuple(p for p in permutations(range(g.n)) if is_automorphism(g, p))
-        assert automorphisms(g).elements == everything
+        assert tuple(automorphisms(g)) == everything
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53])
     def test_circulant_order_from_class_size(self, p):
@@ -237,7 +247,7 @@ class TestAutomorphisms:
 
 class TestOrbits:
     def test_trivial_group(self):
-        g = PermGroup(4, (identity_perm(4),))
+        g = PermGroup.from_generators(4, [])
         assert orbits(g, 4) == [[0], [1], [2], [3]]
 
     def test_translations_single_orbit(self):
@@ -250,12 +260,12 @@ class TestOrbits:
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
-            orbits(PermGroup(3, (identity_perm(3),)), 4)
+            orbits(PermGroup.from_generators(3, []), 4)
 
 
 class TestBurnside:
     def test_trivial_group(self):
-        assert burnside_orbit_count(PermGroup(6, (identity_perm(6),)), 6) == 6
+        assert burnside_orbit_count(PermGroup.from_generators(6, []), 6) == 6
 
     def test_rotations_of_c5(self):
         g = PermGroup.from_generators(5, [(1, 2, 3, 4, 0)])
@@ -265,12 +275,15 @@ class TestBurnside:
         rng = random.Random(20260808)
         for _ in range(50):
             degree = rng.randint(3, 6)
-            g = random_perm_group(rng, degree, rng.randint(1, 2))
+            gens = random_generators(rng, degree, rng.randint(1, 2))
+            g = PermGroup.from_generators(degree, gens)
             assert burnside_orbit_count(g, degree) == len(orbits(g, degree))
+            closure = brute_force_closure(degree, gens)
+            assert list(g) == sorted(closure) and len(g) == len(closure)
 
     def test_non_group_raises(self):
         # a 3-cycle without its inverse: fixed-point sum 3 over 2 "elements"
-        bad = PermGroup(3, (identity_perm(3), (1, 2, 0)))
+        bad = PermGroup.from_elements(3, [identity_perm(3), (1, 2, 0)])
         with pytest.raises(InconsistencyError):
             burnside_orbit_count(bad, 3)
 
@@ -296,7 +309,7 @@ class TestOrbitStabilizer:
             g = rng.choice(elems)
             v = rng.randrange(10)
             conj = {compose(compose(g, h), inverse_perm(g)) for h in aut.stabilizer(v)}
-            assert conj == set(aut.stabilizer(g[v]).elements)
+            assert conj == set(aut.stabilizer(g[v]))
 
 
 class TestRegularSubgroup:
@@ -310,15 +323,15 @@ class TestRegularSubgroup:
     ])
     def test_cayley_digraphs_have_regular_subgroup(self, group, s):
         g = cayley_digraph(group, s)
-        reg = is_cayley(g)
+        reg = find_regular_subgroup(automorphisms(g), g.n)
         assert reg is not None
         assert len(reg) == g.n
         assert len(reg.orbit(0)) == g.n
         assert all(fixed_points(p) == 0 for p in reg if p != identity_perm(g.n))
 
     def test_triangle_witness_is_rotations(self):
-        reg = is_cayley(TRIANGLE)
-        assert reg.elements == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+        reg = find_regular_subgroup(automorphisms(TRIANGLE), 3)
+        assert tuple(reg) == ((0, 1, 2), (1, 2, 0), (2, 0, 1))
 
     def test_petersen_is_not_cayley(self):
         aut = automorphisms(petersen())
@@ -343,7 +356,7 @@ class TestRegularSubgroup:
         rng = random.Random(20261018)
         for _ in range(40):
             n = rng.randint(2, 6)
-            g = random_perm_group(rng, n, rng.randint(1, 2))
+            g = PermGroup.from_generators(n, random_generators(rng, n, rng.randint(1, 2)))
             fpf = [p for p in g if not fixed_points(p)]
             exists = any(len(h := PermGroup.from_generators(n, [a, b])) == n
                          and len(h.orbit(0)) == n for a in fpf for b in fpf)
@@ -351,17 +364,33 @@ class TestRegularSubgroup:
             assert (reg is not None) == exists
             if reg is not None:
                 assert len(reg) == n and len(reg.orbit(0)) == n
-                assert set(reg.elements) <= set(g.elements)
+                assert set(reg) <= set(g)
+
+    def test_search_keeps_the_group_as_a_chain(self):
+        # C5[C3] has 77,760 automorphisms; a list of them takes about 14 MB
+        g = wreath_product(cycle(5), cycle(3))
+        tracemalloc.start()
+        try:
+            aut = automorphisms(g)
+            blocks = orbits(aut, g.n)
+            reg = find_regular_subgroup(aut, g.n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert len(aut) == 77_760
+        assert blocks == [list(range(15))]
+        assert len(reg) == 15
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             find_regular_subgroup(PermGroup.from_generators(3, [(1, 2, 0)]), 4)
 
     def test_one_vertex_is_cayley(self):
-        reg = is_cayley(Digraph(1, (0,)))
-        assert reg.elements == ((0,),)
+        reg = find_regular_subgroup(automorphisms(Digraph(1, (0,))), 1)
+        assert tuple(reg) == ((0,),)
 
     def test_non_transitive_graph(self):
         # path 0 -> 1 -> 2: only the identity automorphism, no regular subgroup
         g = Digraph.from_arcs(3, [(0, 1), (1, 2)])
-        assert is_cayley(g) is None
+        assert find_regular_subgroup(automorphisms(g), g.n) is None
