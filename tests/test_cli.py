@@ -254,6 +254,21 @@ class TestRecognize:
         ("digraph 16", ""),
         ("graph 16", "".join(f"{u} {v}\n" for u in range(16) for v in range(u + 1, 16))),
     ], ids=["empty", "complete"])
+    def test_automorphism_ceiling(self, capsys, tmp_path, header, edges):
+        # the empty and complete graphs on 16 vertices have 16! automorphisms
+        path = tmp_path / "g16.txt"
+        path.write_text(f"{header}\n{edges}")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "recognize", str(path))
+        assert time.perf_counter() - start < 10
+        assert code == 3
+        assert out == ""
+        assert "automorphisms" in err
+
+    @pytest.mark.parametrize("header,edges", [
+        ("digraph 16", ""),
+        ("graph 16", "".join(f"{u} {v}\n" for u in range(16) for v in range(u + 1, 16))),
+    ], ids=["empty", "complete"])
     def test_ceiling_checked_against_the_group_order(self, capsys, tmp_path, header, edges):
         # the empty and complete graphs on 16 vertices have 16! automorphisms,
         # known from the stabilizer chain's level sizes before the
