@@ -51,10 +51,6 @@ class PhiTable:
     def total_sets(self) -> int:
         return 1 << ((self.p - 1) // 2)
 
-    def max_size_classes(self) -> int:
-        """Number of classes of the maximum size p - 1."""
-        return self.entries[1][0]
-
 
 def _check_odd_prime(p: int) -> None:
     if p < 3 or not is_prime(p):

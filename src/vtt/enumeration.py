@@ -6,15 +6,17 @@ is.  Multiplication by a unit permutes these choices; orbits of that action
 are exactly the isomorphism classes of the corresponding Cayley tournaments.
 Z_p^* is cyclic, so the orbits are those of a single primitive root; this
 module enumerates them explicitly (one walk per orbit over the full mask
-universe, with one visited byte per mask) and provides the Burnside
-fixed-point count as a second, formula independent oracle.  A class keeps only
-its smallest mask and size; its members are walked again when asked for.
+universe, stepping a mask with two table lookups and marking one visited byte
+per mask) and provides the Burnside fixed-point count as a second, formula
+independent oracle.  A class keeps only its smallest mask and size, in two
+arrays, so the walk needs about 1.3 bytes per mask; its members are walked
+again when asked for.
 """
 
 from __future__ import annotations
 
-import json
 import math
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
@@ -33,13 +35,30 @@ def _is_odd_prime(p: int) -> bool:
 
 
 @cache
-def _member_chunks(p: int) -> list[list[tuple[int, ...]]]:
-    """Per 8-bit chunk of a mask, indexed by the chunk's value: its members."""
+def _member_chunks(p: int) -> list[tuple[list[str], list[str]]]:
+    """Per 8-bit chunk of a mask, indexed by the chunk's value: its members
+    below p/2 and its members above p/2, each as ascending comma-separated text."""
     half = (p - 1) // 2
-    return [[tuple(i if value >> (i - 1 - lo) & 1 else p - i
-                   for i in range(lo + 1, min(lo + _CHUNK_BITS, half) + 1))
-             for value in range(1 << min(_CHUNK_BITS, half - lo))]
-            for lo in range(0, half, _CHUNK_BITS)]
+    chunks = []
+    for lo in range(0, half, _CHUNK_BITS):
+        choices = range(lo + 1, min(lo + _CHUNK_BITS, half) + 1)
+        values = range(1 << len(choices))
+        chunks.append((
+            [",".join(str(i) for i in choices if v >> (i - 1 - lo) & 1) for v in values],
+            [",".join(str(p - i) for i in reversed(choices) if not v >> (i - 1 - lo) & 1)
+             for v in values]))
+    return chunks
+
+
+def _members_text(p: int, bits: int) -> str:
+    """The members of mask bits, ascending, as the items of a JSON list: those
+    below p/2 chunk by chunk upwards, then those above p/2 downwards."""
+    below, above = [], []
+    for low_text, high_text in _member_chunks(p):
+        below.append(low_text[bits & 0xFF])
+        above.append(high_text[bits & 0xFF])
+        bits >>= _CHUNK_BITS
+    return ",".join(filter(None, below + above[::-1]))
 
 
 @dataclass(frozen=True)
@@ -57,11 +76,9 @@ class SetMask:
 
     def members(self) -> tuple[int, ...]:
         """The set members as sorted residues in [1, p)."""
-        chosen, bits = [], self.bits
-        for table in _member_chunks(self.p):
-            chosen += table[bits & 0xFF]
-            bits >>= _CHUNK_BITS
-        return tuple(sorted(chosen))
+        half = (self.p - 1) // 2
+        return tuple(sorted(i if self.bits >> (i - 1) & 1 else self.p - i
+                            for i in range(1, half + 1)))
 
     @classmethod
     def from_members(cls, p: int, members) -> "SetMask":
@@ -97,66 +114,55 @@ def all_sets(p: int, budget_bits: int = DEFAULT_BUDGET_BITS):
         yield SetMask(p, bits)
 
 
-def _act_table(p: int, a: int) -> tuple[list[list[int]], int]:
-    """Chunked lookup tables for the action of unit a on masks.
+def _act_table(p: int, a: int) -> tuple[list[int], list[int], int]:
+    """Lookup tables (low, high, w) for the action of unit a on masks.
 
-    Returns (chunk_tables, flip_mask): applying the action to `bits` is
-    OR-of-table-lookups over 8-bit chunks, XORed with flip_mask.
+    low covers the mask bits 0..w-1 and high the bits w..(p-1)/2-1, where w
+    is half the bits rounded up, so the action takes `bits` to
+    low[bits & (1 << w) - 1] ^ high[bits >> w].  Distinct choice bits go to
+    distinct bits, so the two images never overlap and the flip of the
+    choices that a sends to their negatives is folded into high.
     """
     if a % p == 0:
         raise ValueError("multiplier must be nonzero mod p")
     half = (p - 1) // 2
-    moves = []
+    w = (half + 1) // 2
     flip_mask = 0
+    images = []
     for i in range(1, half + 1):
         v = a * i % p
-        if v <= half:
-            moves.append((i - 1, v - 1))
-        else:
-            moves.append((i - 1, p - v - 1))
-            flip_mask |= 1 << (p - v - 1)
-    nchunks = (half + _CHUNK_BITS - 1) // _CHUNK_BITS
-    tables = []
-    for c in range(nchunks):
-        lo = c * _CHUNK_BITS
-        width = min(_CHUNK_BITS, half - lo)
-        table = [0] * (1 << width)
-        local = [(src - lo, dst) for src, dst in moves if lo <= src < lo + width]
-        for chunk in range(1 << width):
-            out = 0
-            for src, dst in local:
-                out |= (chunk >> src & 1) << dst
-            table[chunk] = out
-        tables.append(table)
-    return tables, flip_mask
-
-
-def _apply(tables: list[list[int]], flip_mask: int, bits: int) -> int:
-    out = 0
-    for table in tables:
-        out |= table[bits & 0xFF]
-        bits >>= _CHUNK_BITS
-    return out ^ flip_mask
+        if v > half:
+            v = p - v
+            flip_mask |= 1 << (v - 1)
+        images.append(1 << (v - 1))
+    low, high = [0], [flip_mask]
+    for bit in images[:w]:
+        low += [x ^ bit for x in low]
+    for bit in images[w:]:
+        high += [x ^ bit for x in high]
+    return low, high, w
 
 
 @cache
-def _generator_table(p: int) -> tuple[list[list[int]], int]:
+def _generator_table(p: int) -> tuple[list[int], list[int], int]:
     return _act_table(p, next(a for a in units(p) if mult_order(a, p) == p - 1))
 
 
 def _orbit(p: int, rep: int) -> list[int]:
     """The orbit of mask rep under the primitive root, in walk order from rep."""
-    tables, flip_mask = _generator_table(p)
-    orbit = [rep]
-    while (bits := _apply(tables, flip_mask, orbit[-1])) != rep:
+    low, high, w = _generator_table(p)
+    m = (1 << w) - 1
+    orbit, bits = [rep], rep
+    while (bits := low[bits & m] ^ high[bits >> w]) != rep:
         orbit.append(bits)
     return orbit
 
 
 def act(a: int, s: SetMask) -> SetMask:
     """The set {a*x mod p | x in s}, renormalized to the choice-bit encoding."""
-    tables, flip_mask = _act_table(s.p, a)
-    return SetMask(s.p, _apply(tables, flip_mask, s.bits))
+    if a % s.p == 0:
+        raise ValueError("multiplier must be nonzero mod p")
+    return SetMask.from_members(s.p, (a * x for x in s.members()))
 
 
 def unit_multiplier(n: int, s, t) -> int | None:
@@ -172,9 +178,10 @@ def unit_multiplier(n: int, s, t) -> int | None:
 def invariant_sets(p: int, a: int, budget_bits: int = DEFAULT_BUDGET_BITS) -> list[SetMask]:
     """All tournament sets fixed by multiplication with a, ascending by mask."""
     half = _check_enumerable(p, budget_bits)
-    tables, flip_mask = _act_table(p, a)
+    low, high, w = _act_table(p, a)
+    m = (1 << w) - 1
     return [SetMask(p, bits) for bits in range(1 << half)
-            if _apply(tables, flip_mask, bits) == bits]
+            if low[bits & m] ^ high[bits >> w] == bits]
 
 
 @dataclass(frozen=True)
@@ -193,26 +200,40 @@ class ClassInfo:
 
 @dataclass(frozen=True)
 class ClassReport:
-    """Equivalence classes of tournament sets on Z_p under the unit action."""
+    """Equivalence classes of tournament sets on Z_p under the unit action:
+    each class's smallest mask and size, ascending by mask."""
 
     p: int
-    total_sets: int
-    classes: tuple[ClassInfo, ...]
+    reps: array
+    orbit_sizes: array
+    listed: bool = False
+
+    @property
+    def total_sets(self) -> int:
+        return 1 << (self.p - 1) // 2
+
+    @property
+    def classes(self) -> tuple[ClassInfo, ...]:
+        """One ClassInfo per class, built on each read."""
+        return tuple(ClassInfo(SetMask(self.p, rep), size, self.listed)
+                     for rep, size in zip(self.reps, self.orbit_sizes))
 
     @property
     def count(self) -> int:
-        return len(self.classes)
+        return len(self.reps)
 
     def sizes(self) -> tuple[int, ...]:
-        return tuple(sorted(c.size for c in self.classes))
+        return tuple(sorted(self.orbit_sizes))
 
     def json_lines(self) -> Iterator[str]:
-        """One JSON line per class, produced as it is iterated."""
-        for c in self.classes:
-            record: dict = {"p": self.p, "rep": list(c.rep.members()), "size": c.size}
-            if c.listed:
-                record["members"] = [list(m.members()) for m in c.members]
-            yield json.dumps(record, separators=(",", ":"))
+        """One compact JSON line per class, produced as it is iterated."""
+        p = self.p
+        for rep, size in zip(self.reps, self.orbit_sizes):
+            line = f'{{"p":{p},"rep":[{_members_text(p, rep)}],"size":{size}'
+            if self.listed:
+                members = "],[".join(_members_text(p, b) for b in sorted(_orbit(p, rep)))
+                line += f',"members":[[{members}]]'
+            yield line + "}"
 
 
 def equivalence_classes(p: int, include_members: bool = False,
@@ -220,23 +241,30 @@ def equivalence_classes(p: int, include_members: bool = False,
     """Orbits of the unit action, canonical representative = smallest mask.
 
     Z_p^* is cyclic, so the orbits of one primitive root are the orbits of
-    the whole unit group.  Masks are scanned in ascending order; an unvisited
-    mask is the smallest member of its orbit, which is walked until it
-    returns to the start, marking every mask on the way.
+    the whole unit group.  The smallest unvisited mask is the smallest member
+    of its orbit, which is walked until it returns to the start, marking
+    every mask on the way; the next one is found by a scan of the visited
+    bytes.
     """
     half = _check_enumerable(p, budget_bits)
-    total = 1 << half
-    visited = bytearray(total)
-
-    classes = []
-    for rep in range(total):
-        if visited[rep]:
-            continue
-        orbit = _orbit(p, rep)
-        for bits in orbit:
+    low, high, w = _generator_table(p)
+    m = (1 << w) - 1
+    visited = bytearray(1 << half)
+    # masks fit 32 bits up to half = 32; sizes divide p - 1, below 2^16 for
+    # any p whose 2^half visited bytes fit in memory
+    reps, sizes = array("I" if half <= 32 else "Q"), array("H")
+    rep = 0
+    while rep >= 0:
+        bits = rep
+        for size in range(1, p):  # an orbit's size divides p - 1
             visited[bits] = 1
-        classes.append(ClassInfo(SetMask(p, rep), len(orbit), include_members))
-    return ClassReport(p, total, tuple(classes))
+            bits = low[bits & m] ^ high[bits >> w]
+            if bits == rep:
+                break
+        reps.append(rep)
+        sizes.append(size)
+        rep = visited.find(0, rep + 1)
+    return ClassReport(p, reps, sizes, include_members)
 
 
 def burnside_count(p: int) -> int:

@@ -62,25 +62,9 @@ class Digraph:
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
-    def out_degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
-
-    def in_degree(self, v: int) -> int:
-        return self.preds[v].bit_count()
-
-    def out_neighbors(self, v: int) -> list[int]:
-        return _bits_to_list(self.adj[v])
-
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs sorted lexicographically."""
         return [(u, w) for u in range(self.n) for w in _bits_to_list(self.adj[u])]
-
-    @property
-    def num_arcs(self) -> int:
-        return sum(bits.bit_count() for bits in self.adj)
-
-    def is_symmetric(self) -> bool:
-        return self.adj == self.preds
 
 
 def _bits_to_list(bits: int) -> list[int]:
@@ -225,10 +209,6 @@ def relabel(g: Digraph, images) -> Digraph:
             bits |= 1 << images[w]
         adj[images[u]] = bits
     return Digraph(g.n, tuple(adj))
-
-
-def to_edge_list(g: Digraph) -> str:
-    return "".join(f"{u} {v}\n" for u, v in g.arcs())
 
 
 def to_dot(g: Digraph) -> str:

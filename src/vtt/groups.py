@@ -2,8 +2,7 @@
 
 Covers everything the rest of the package needs from algebra: cyclic groups
 and direct products with elements stored as residue tuples, unit groups mod n,
-multiplicative orders, cyclic subgroups generated by a unit, and divisor
-lists.  All functions are exact and deterministic; sets are returned in
+multiplicative orders and divisor lists.  All functions are exact and deterministic; sets are returned in
 sorted order so downstream output is reproducible.
 """
 
@@ -63,19 +62,6 @@ def mult_order(a: int, n: int) -> int:
         x = x * a % n
         t += 1
     return t
-
-
-def cyclic_subgroup(a: int, n: int) -> set[int]:
-    """The multiplicative subgroup generated by a unit a mod n."""
-    a %= n
-    if math.gcd(a, n) != 1:
-        raise ValueError(f"{a} is not a unit mod {n}")
-    sub = {1}
-    x = a
-    while x != 1:
-        sub.add(x)
-        x = x * a % n
-    return sub
 
 
 @dataclass(frozen=True)
@@ -141,10 +127,6 @@ class AbelianGroup:
     def neg(self, x) -> Element:
         x = self.coerce(x)
         return tuple((-a) % m for a, m in zip(x, self.moduli))
-
-    def scale(self, k: int, x) -> Element:
-        x = self.coerce(x)
-        return tuple(k * a % m for a, m in zip(x, self.moduli))
 
 
 def cyclic(n: int) -> AbelianGroup:

@@ -42,13 +42,6 @@ def compose(p: Permutation, q: Permutation) -> Permutation:
     return tuple(p[q[i]] for i in range(len(p)))
 
 
-def inverse_perm(p: Permutation) -> Permutation:
-    inv = [0] * len(p)
-    for i, x in enumerate(p):
-        inv[x] = i
-    return tuple(inv)
-
-
 def perm_cycles(p: Permutation) -> list[tuple[int, ...]]:
     """Nontrivial cycles, each rotated to start at its minimum, sorted."""
     seen = [False] * len(p)
@@ -119,8 +112,17 @@ class PermGroup:
         return cls(degree, tuple(levels))
 
     def orbit(self, v: int) -> set[int]:
-        generators = [t for level in self.levels for t in level.values()]
-        return set(_walk(self.degree, generators, itemgetter(v)))
+        """The points that v reaches, breadth first under the level
+        representatives other than the identity, which generate the group."""
+        generators = [t for u, level in enumerate(self.levels)
+                      for w, t in level.items() if w != u]
+        reached, queue = {v}, [v]
+        for x in queue:
+            for t in generators:
+                if t[x] not in reached:
+                    reached.add(t[x])
+                    queue.append(t[x])
+        return reached
 
     def stabilizer(self, v: int) -> "PermGroup":
         return PermGroup.from_elements(self.degree, (p for p in self if p[v] == v))
@@ -128,15 +130,25 @@ class PermGroup:
 
 def _products(levels, u: int, x: Permutation, moving: bool = False):
     """x times each product of one element per level from u on, ascending, as
-    level u's t puts x[t[u]] at u and later levels fix 0..u.  With moving, a
-    branch ends once its product fixes u."""
-    if u == len(levels):
-        yield x
-        return
-    for t in sorted(levels[u].values(), key=lambda t: x[t[u]]):
-        y = compose(x, t)
-        if not (moving and y[u] == u):
-            yield from _products(levels, u + 1, y, moving)
+    level v's t puts x[t[v]] at v and later levels fix 0..v.  Only levels
+    with more than one element are walked, so the nesting is as deep as the
+    group has such levels.  With moving, a branch ends once its product
+    fixes a point whose image no later level changes."""
+    steps = [v for v in range(u, len(levels)) if len(levels[v]) > 1]
+
+    def walk(i: int, x: Permutation):
+        # the points from the previous step's level up to this one's are final in x
+        final = range(steps[i - 1] if i else u, steps[i] if i < len(steps) else len(levels))
+        if moving and any(x[w] == w for w in final):
+            return
+        if i == len(steps):
+            yield x
+            return
+        v = steps[i]
+        for t in sorted(levels[v].values(), key=lambda t: x[t[v]]):
+            yield from walk(i + 1, compose(x, t))
+
+    return walk(0, x)
 
 
 def _refine(g: Digraph, h: Digraph, cells_g: list[int], cells_h: list[int],

@@ -33,7 +33,7 @@ class TestPhiTable:
     def test_p11(self):
         t = phi_table(11)
         assert t.entries == {5: (1, 2), 1: (3, 10)}
-        assert t.max_size_classes() == 3
+        assert t.entries[1][0] == 3  # classes of the maximum size p - 1
 
     def test_p331_worked_example(self):
         t = phi_table(331)
@@ -91,7 +91,7 @@ def test_mass_conservation_up_to_200():
 def test_max_size_class_count_matches_enumeration(p):
     report = equivalence_classes(p)
     full_size = [c for c in report.classes if c.size == p - 1]
-    assert phi_table(p).max_size_classes() == len(full_size)
+    assert phi_table(p).entries[1][0] == len(full_size)
 
 
 class TestCountTable:

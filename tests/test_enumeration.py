@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -16,7 +17,7 @@ from vtt.enumeration import (
 )
 from vtt.errors import InconsistencyError, SizeLimitError
 from vtt.graphs import cayley_digraph
-from vtt.groups import cyclic, cyclic_subgroup, mult_order, units
+from vtt.groups import cyclic, mult_order, units
 from vtt.perm import isomorphic
 
 
@@ -35,6 +36,8 @@ class TestSetMask:
         for bits in [0, (1 << half) - 1, *(rng.getrandbits(half) for _ in range(50))]:
             want = sorted(i if bits >> (i - 1) & 1 else p - i for i in range(1, half + 1))
             assert SetMask(p, bits).members() == tuple(want)
+            # the class listing's text, read off per-chunk tables
+            assert enumeration._members_text(p, bits) == ",".join(map(str, want))
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_round_trip(self, p):
@@ -155,7 +158,7 @@ class TestInvariantSets:
         # if s is fixed by b, it is fixed by every a in <b>
         for b in units(p):
             fixed = invariant_sets(p, b)
-            for a in cyclic_subgroup(b, p):
+            for a in {pow(b, k, p) for k in range(mult_order(b, p))}:
                 for s in fixed:
                     assert act(a, s) == s
 
@@ -196,8 +199,8 @@ class TestEquivalenceClasses:
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 19, 23])
     def test_orbits_of_the_whole_unit_group(self, p):
-        # Orbits under every unit through the public act(), independent of
-        # the single primitive root the enumeration walks with.
+        # Orbits under every unit through the public act(), which maps the
+        # members and shares no table with the primitive-root walk.
         half = (p - 1) // 2
         seen = set()
         expected = []
@@ -212,6 +215,17 @@ class TestEquivalenceClasses:
         report = equivalence_classes(p, include_members=True)
         assert [(c.rep.bits, c.size, [m.bits for m in c.members])
                 for c in report.classes] == expected
+
+    def test_walk_memory_per_mask(self):
+        # one visited byte per mask, and per class a mask and a size in arrays
+        tracemalloc.start()
+        try:
+            report = equivalence_classes(37)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.count == 7286
+        assert peak / report.total_sets < 2
 
     def test_json_lines(self):
         report = equivalence_classes(3)

@@ -19,7 +19,6 @@ from vtt.perm import (
     find_regular_subgroup,
     fixed_points,
     identity_perm,
-    inverse_perm,
     is_automorphism,
     isomorphic,
     orbits,
@@ -32,6 +31,10 @@ TRIANGLE = cayley_digraph(cyclic(3), {1})
 
 def circulant_tournament(p, bits):
     return cayley_digraph(cyclic(p), set(SetMask(p, bits).members()))
+
+
+def rotations(n):
+    return PermGroup.from_generators(n, [tuple((x + 1) % n for x in range(n))])
 
 
 def random_generators(rng, degree, n_gens):
@@ -58,10 +61,6 @@ class TestPermBasics:
         p = (1, 2, 0)
         q = (0, 2, 1)
         assert compose(p, q) == tuple(p[q[i]] for i in range(3))
-
-    def test_inverse(self):
-        p = (2, 0, 3, 1)
-        assert compose(p, inverse_perm(p)) == identity_perm(4)
 
     def test_order_and_cycles(self):
         assert perm_order(identity_perm(5)) == 1
@@ -134,7 +133,7 @@ class TestIsomorphic:
                     h = Digraph.from_arcs(g.n, arcs + [rng.choice(free)])
             target = set(h.arcs())
             least = next((pi for pi in permutations(range(g.n))
-                          if len(target) == g.num_arcs
+                          if len(target) == len(g.arcs())
                           and all((pi[u], pi[v]) in target for u, v in g.arcs())), None)
             assert isomorphic(g, h) == least
 
@@ -262,6 +261,13 @@ class TestOrbits:
         with pytest.raises(ValueError):
             orbits(PermGroup.from_generators(3, []), 4)
 
+    def test_orbit_walks_points(self):
+        # a walk over whole permutations took minutes on the 1000 rotations
+        g = rotations(1000)
+        start = time.perf_counter()
+        assert g.orbit(0) == set(range(1000))
+        assert time.perf_counter() - start < 1
+
 
 class TestBurnside:
     def test_trivial_group(self):
@@ -301,6 +307,12 @@ class TestOrbitStabilizer:
         for v in range(g.n):
             assert len(aut.stabilizer(v)) * len(aut.orbit(v)) == len(aut)
 
+    def test_iteration_nests_only_nontrivial_levels(self):
+        # 1000 levels, of which only level 0 holds more than the identity
+        g = rotations(1000)
+        assert sum(1 for _ in g) == 1000
+        assert [x[0] for x in g] == list(range(1000))
+
     def test_conjugate_stabilizers(self):
         aut = automorphisms(petersen())
         rng = random.Random(11)
@@ -308,7 +320,8 @@ class TestOrbitStabilizer:
         for _ in range(10):
             g = rng.choice(elems)
             v = rng.randrange(10)
-            conj = {compose(compose(g, h), inverse_perm(g)) for h in aut.stabilizer(v)}
+            inverse = tuple(sorted(range(10), key=g.__getitem__))
+            conj = {compose(compose(g, h), inverse) for h in aut.stabilizer(v)}
             assert conj == set(aut.stabilizer(g[v]))
 
 
@@ -381,6 +394,22 @@ class TestRegularSubgroup:
         assert len(aut) == 77_760
         assert blocks == [list(range(15))]
         assert len(reg) == 15
+
+    def test_relabelled_circulant_tournament_of_order_1009(self):
+        p = 1009
+        rng = random.Random(p)
+        members = SetMask(p, rng.getrandbits((p - 1) // 2)).members()
+        images = rng.sample(range(p), p)  # u -> u + s becomes images[u] -> images[u + s]
+        adj = [0] * p
+        for u in range(p):
+            adj[images[u]] = sum(1 << images[(u + s) % p] for s in members)
+        g = Digraph(p, tuple(adj))
+        reg = find_regular_subgroup(automorphisms(g, cap=p), p)
+        assert len(reg) == p
+        assert all(fixed_points(x) == 0 for x in reg if x != identity_perm(p))
+        generator = next(x for x in reg if x[0] != 0)
+        assert perm_order(generator) == p  # so the witness is cyclic
+        assert is_automorphism(g, generator)
 
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
