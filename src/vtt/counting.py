@@ -12,17 +12,16 @@ the recursion performs is checked to be exact.
 
 from __future__ import annotations
 
-import json
 import math
-import sys
-from contextlib import contextmanager
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import InconsistencyError, SizeLimitError
 from .groups import divisors, is_prime
 
-# Largest count printed in decimal.  int -> str conversion is quadratic in
-# CPython 3.11: 10^5 digits take about 0.2 s, 10^6 digits about 18 s.
+# Largest count printed, in decimal digits.  The cap bounds the size of the
+# output, one row of up to 100 kB per prime, and of the integers the recursion
+# builds; format_count_table's conversion is near-linear in the digit count.
 MAX_COUNT_DIGITS = 100_000
 # A count of at most this many bits is below 10^MAX_COUNT_DIGITS.
 _MAX_SAFE_BITS = int(MAX_COUNT_DIGITS * math.log2(10))
@@ -103,6 +102,17 @@ def class_count(p: int) -> int:
     return phi_table(p).class_count
 
 
+def _odd_primes(lo: int, hi: int) -> list[int]:
+    """The odd primes in [lo, hi], ascending, from one sieve up to hi."""
+    hi = max(hi, 2)
+    sieve = bytearray([1]) * (hi + 1)
+    sieve[:2] = b"\0\0"
+    for f in range(2, math.isqrt(hi) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = bytes(len(range(f * f, hi + 1, f)))
+    return [p for p in range(max(3, lo) | 1, hi + 1, 2) if sieve[p]]
+
+
 def count_table(p_min: int, p_max: int) -> list[tuple[int, int]]:
     """(p, class count) for every odd prime in [p_min, p_max], ascending.
 
@@ -110,42 +120,59 @@ def count_table(p_min: int, p_max: int) -> list[tuple[int, int]]:
     if p_min > p_max:
         raise ValueError(f"empty range: {p_min} > {p_max}")
     check_digit_cap(p_max)
-    rows = []
-    for p in range(max(3, p_min) | 1, p_max + 1, 2):
-        if is_prime(p):
-            rows.append((p, class_count(p)))
-    return rows
+    return [(p, class_count(p)) for p in _odd_primes(p_min, p_max)]
 
 
-@contextmanager
-def _int_str_digits(limit: int):
-    """Let int <-> str conversions run up to `limit` digits, then restore.
+def _decimal_counts(rows: list[tuple[int, int]]) -> Iterator[str]:
+    """str(count) of each row in turn, by exact decimal arithmetic.
 
-    Python before 3.10.7 has no such limit and nothing to set."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(limit)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
+    CPython's int -> str is quadratic in the length.  With d = p - 1 and
+    h = d // 2, count = (2^h - e) / d where e = 2^h - count * d.  For a class
+    count, e has about a third of the bits of 2^h (its largest term is a class
+    of size (p-1)/3), so only e is converted from binary; 2^h is carried in
+    decimal from row to row, and the subtraction, the division by d and str()
+    are linear.  The identity holds for any integer row (d is at least 1).
+    The precision bounds every operand by digits <= bits // 3 + 1, and Inexact
+    and Rounded trap, so a precision too small raises and never rounds.  One
+    row's text is alive at a time: the caller's output is the only copy."""
+    # imported here, so that a process that prints no count table does not
+    # load decimal (about 0.3 MB of RSS)
+    from decimal import Context, Inexact, InvalidOperation, Rounded
+
+    # 2^h has h + 1 bits and e at most one more than 2^h or count * d
+    bits = max((max((p - 1) // 2, (count * max(p - 1, 1)).bit_length()) + 2
+                for p, count in rows), default=0)
+    ctx = Context(prec=bits // 3 + 1, traps=[InvalidOperation, Inexact, Rounded])
+    power = h_prev = None  # power = 2^h_prev, in decimal
+    for p, count in rows:
+        d = max(p - 1, 1)
+        h = d // 2
+        if power is None or h < h_prev:
+            power = ctx.power(2, h)
+        else:
+            power = ctx.multiply(power, 1 << (h - h_prev))
+        h_prev = h
+        quotient, remainder = ctx.divmod(ctx.subtract(power, (1 << h) - count * d), d)
+        if remainder:
+            raise InconsistencyError(f"decimal conversion of the count for p={p} is not exact")
+        yield str(quotient)
 
 
 def format_count_table(rows: list[tuple[int, int]], fmt: str = "tsv") -> str:
     """Render count rows; counts always in decimal, output byte-deterministic.
 
-    A count of more than MAX_COUNT_DIGITS digits raises SizeLimitError before
-    anything is converted."""
+    json is json.dumps(payload, separators=(",", ":")) written out by hand,
+    since json.dumps would convert each count with int -> str.  A count of
+    more than MAX_COUNT_DIGITS digits raises SizeLimitError before anything
+    is converted."""
     if fmt not in ("tsv", "text", "json"):
         raise ValueError(f"unknown count table format {fmt!r}")
     for p, count in rows:
         if count.bit_length() > _MAX_SAFE_BITS and count >= 10 ** MAX_COUNT_DIGITS:
             raise SizeLimitError(
                 f"the count for p={p} has more than {MAX_COUNT_DIGITS} decimal digits")
-    with _int_str_digits(MAX_COUNT_DIGITS):
-        if fmt == "json":
-            payload = [{"p": p, "count": count} for p, count in rows]
-            return json.dumps(payload, separators=(",", ":")) + "\n"
-        return "".join(f"{p}\t{count}\n" for p, count in rows)
+    texts = _decimal_counts(rows)
+    if fmt == "json":
+        return "[" + ",".join(f'{{"p":{p},"count":{text}}}'
+                              for (p, _), text in zip(rows, texts)) + "]\n"
+    return "".join(f"{p}\t{text}\n" for (p, _), text in zip(rows, texts))

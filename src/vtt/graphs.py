@@ -81,15 +81,16 @@ def cayley_digraph(group: AbelianGroup, s) -> Digraph:
     members = frozenset(group.coerce(x) for x in s)
     if group.identity in members:
         raise ValueError("invalid connection set: contains the identity")
-    n = group.order
-    adj = [0] * n
     elems = group.elements()
-    for i, g in enumerate(elems):
+    rank = {g: i for i, g in enumerate(elems)}
+    moduli = group.moduli
+    adj = []
+    for g in elems:
         bits = 0
         for step in members:
-            bits |= 1 << group.index(group.add(g, step))
-        adj[i] = bits
-    return Digraph(n, tuple(adj))
+            bits |= 1 << rank[tuple((a + b) % m for a, b, m in zip(g, step, moduli))]
+        adj.append(bits)
+    return Digraph(len(elems), tuple(adj))
 
 
 def validate_tournament_set(group: AbelianGroup, s) -> bool:

@@ -9,7 +9,7 @@ from dataclasses import replace
 import pytest
 
 from vtt import cli, counting
-from vtt.counting import _int_str_digits, class_count
+from vtt.counting import class_count
 from vtt.fixtures import run_all
 from vtt.graphs import cayley_digraph, petersen
 from vtt.groups import cyclic
@@ -50,8 +50,16 @@ class TestCount:
     def test_count_past_default_digit_limit(self, capsys, p):
         code, out, _ = run(capsys, "count", str(p))
         assert code == 0
-        with _int_str_digits(0):
+        # str() of the count needs the default limit lifted, vtt's output does
+        # not; Python before 3.10.7 has neither the limit nor its setter
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
             assert out == f"{p}\t{class_count(p)}\n"
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
 
     def test_count_past_digit_cap(self, capsys):
         # the smallest prime whose count has more than 100,000 digits

@@ -1,4 +1,7 @@
+import json
+import random
 import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -11,6 +14,7 @@ from vtt.counting import (
 )
 from vtt.enumeration import equivalence_classes
 from vtt.errors import SizeLimitError
+from vtt.groups import is_prime
 
 # the full results table for odd primes up to 83
 KNOWN_COUNTS = {
@@ -21,6 +25,31 @@ KNOWN_COUNTS = {
 }
 
 P331_COUNT = 141721370892693616310660347414912511171570422384
+
+
+@contextmanager
+def str_digits_lifted():
+    """Let str() convert ints of any length, then restore the limit.
+
+    The reference renderings below use str() and json.dumps, which refuse
+    ints of more than 4300 digits by default; vtt's own output must not
+    depend on the limit.  Python before 3.10.7 has no limit to lift."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def reference_rendering(rows, fmt):
+    with str_digits_lifted():
+        if fmt == "json":
+            payload = [{"p": p, "count": count} for p, count in rows]
+            return json.dumps(payload, separators=(",", ":")) + "\n"
+        return "".join(f"{p}\t{count}\n" for p, count in rows)
 
 
 class TestPhiTable:
@@ -126,6 +155,27 @@ class TestCountTable:
         with pytest.raises(SizeLimitError):
             format_count_table([(3, 1), (5, 10 ** MAX_COUNT_DIGITS)], "json")
         assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+
+    @pytest.mark.parametrize("fmt", ["tsv", "text", "json"])
+    def test_format_matches_str_for_every_prime_to_3000(self, fmt):
+        rows = count_table(3, 3000)
+        assert format_count_table(rows, fmt) == reference_rendering(rows, fmt)
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_format_matches_str_for_any_int(self, fmt):
+        # the decimal identity holds for any integer row, not only for counts
+        rng = random.Random(12)
+        primes = [q for q in range(3, 30000, 2) if is_prime(q)]
+        rows = [(rng.choice(primes), rng.getrandbits(rng.randrange(1, 16000)))
+                for _ in range(200)]
+        rows += [(3, 0), (5, 1), (7, 10 ** 4400), (11, 10 ** 4400 - 1)]
+        assert format_count_table(rows, fmt) == reference_rendering(rows, fmt)
+
+    def test_format_descending_and_large_primes(self):
+        rows = count_table(2900, 3000)[::-1] + [(p, class_count(p)) for p in (100003, 200003)]
+        rows += count_table(3, 50)
+        assert format_count_table(rows) == reference_rendering(rows, "tsv")
+        assert format_count_table(rows, "json") == reference_rendering(rows, "json")
 
     def test_without_a_digit_limit(self, monkeypatch):
         # Python before 3.10.7 has neither the limit nor its setter.

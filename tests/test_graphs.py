@@ -67,6 +67,26 @@ def test_cayley_z9_out_neighbors():
     assert [w for w in range(9) if g.has_arc(0, w)] == [1, 3, 5, 7]
 
 
+def per_arc_cayley_digraph(group, s):
+    """Reference Cay(group, s): one group.add and group.index per arc."""
+    members = frozenset(group.coerce(x) for x in s)
+    adj = [0] * group.order
+    for i, g in enumerate(group.elements()):
+        for step in members:
+            adj[i] |= 1 << group.index(group.add(g, step))
+    return Digraph(group.order, tuple(adj))
+
+
+@pytest.mark.parametrize("moduli", [(25,), (3, 3), (2, 2, 2, 2), (4, 4), (5, 3)])
+def test_cayley_matches_per_arc_construction(moduli):
+    group = AbelianGroup(moduli)
+    rng = random.Random(sum(moduli))
+    nonidentity = group.elements()[1:]
+    for _ in range(20):
+        s = rng.sample(nonidentity, rng.randrange(len(nonidentity) + 1))
+        assert cayley_digraph(group, s).adj == per_arc_cayley_digraph(group, s).adj
+
+
 def test_cayley_rejects_identity():
     with pytest.raises(ValueError):
         cayley_digraph(cyclic(5), {0, 1})
