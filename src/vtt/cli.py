@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget-bits", type=int, metavar="B",
                         default=_env_default("BUDGET_BITS", enumeration.DEFAULT_BUDGET_BITS, int),
                         help="mask-bit budget for explicit enumeration: admits p with "
-                             "(p-1)/2 <= B; the orbit walk needs about 1.3 bytes per mask "
+                             "(p-1)/2 <= B; the orbit walk needs about 0.7 bytes per mask "
                              "(default: %(default)s)")
     common.add_argument("--aut-cap", type=int, metavar="N",
                         default=_env_default("AUT_CAP", perm.DEFAULT_AUT_CAP, int),

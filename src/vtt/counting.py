@@ -59,6 +59,11 @@ def _check_odd_prime(p: int) -> None:
 def phi_table(p: int) -> PhiTable:
     """Run the divisor recursion for p and return the filled table."""
     _check_odd_prime(p)
+    return _phi_table(p)
+
+
+def _phi_table(p: int) -> PhiTable:
+    """phi_table for a p already known to be an odd prime."""
     r = p - 1
     two_exp = 0
     while r % 2 == 0:
@@ -120,7 +125,7 @@ def count_table(p_min: int, p_max: int) -> list[tuple[int, int]]:
     if p_min > p_max:
         raise ValueError(f"empty range: {p_min} > {p_max}")
     check_digit_cap(p_max)
-    return [(p, class_count(p)) for p in _odd_primes(p_min, p_max)]
+    return [(p, _phi_table(p).class_count) for p in _odd_primes(p_min, p_max)]
 
 
 def _decimal_counts(rows: list[tuple[int, int]]) -> Iterator[str]:

@@ -4,13 +4,13 @@ A tournament set on Z_p picks one of {i, p-i} for each i in 1..(p-1)/2, so it
 packs into (p-1)/2 bits: bit i-1 set means i is in the set, clear means p-i
 is.  Multiplication by a unit permutes these choices; orbits of that action
 are exactly the isomorphism classes of the corresponding Cayley tournaments.
-Z_p^* is cyclic, so the orbits are those of a single primitive root; this
-module enumerates them explicitly (one walk per orbit over the full mask
-universe, stepping a mask with two table lookups and marking one visited byte
-per mask) and provides the Burnside fixed-point count as a second, formula
-independent oracle.  A class keeps only its smallest mask and size, in two
-arrays, so the walk needs about 1.3 bytes per mask; its members are walked
-again when asked for.
+Z_p^* is cyclic, so the orbits are those of one primitive root, whose power -1
+flips every bit: classes are closed under complement.  The walk runs on keys,
+masks with the top bit clear that stand for themselves and their complements;
+the fold to keys is linear, so a key steps by two table lookups.  With one
+visited byte per key and each class's smallest mask and size kept, it needs
+about 0.7 bytes per mask; members are walked again on demand.  Burnside's
+count is a second, independent oracle.
 """
 
 from __future__ import annotations
@@ -115,13 +115,10 @@ def all_sets(p: int, budget_bits: int = DEFAULT_BUDGET_BITS):
 
 
 def _act_table(p: int, a: int) -> tuple[list[int], list[int], int]:
-    """Lookup tables (low, high, w) for the action of unit a on masks.
-
-    low covers the mask bits 0..w-1 and high the bits w..(p-1)/2-1, where w
-    is half the bits rounded up, so the action takes `bits` to
-    low[bits & (1 << w) - 1] ^ high[bits >> w].  Distinct choice bits go to
-    distinct bits, so the two images never overlap and the flip of the
-    choices that a sends to their negatives is folded into high.
+    """Lookup tables (low, high, w) for the action of unit a on masks: it takes
+    bits to low[bits & (1 << w) - 1] ^ high[bits >> w], w being half the bits
+    rounded up.  Distinct choice bits go to distinct bits, so the two images
+    never overlap; the flip of the choices a sends to their negatives is in high.
     """
     if a % p == 0:
         raise ValueError("multiplier must be nonzero mod p")
@@ -145,17 +142,21 @@ def _act_table(p: int, a: int) -> tuple[list[int], list[int], int]:
 
 @cache
 def _generator_table(p: int) -> tuple[list[int], list[int], int]:
-    return _act_table(p, next(a for a in units(p) if mult_order(a, p) == p - 1))
+    """A primitive root's act tables, each entry x folded to its key min(x, x ^ ones)."""
+    ones = (1 << (p - 1) // 2) - 1
+    low, high, w = _act_table(p, next(a for a in units(p) if mult_order(a, p) == p - 1))
+    return [min(x, x ^ ones) for x in low], [min(x, x ^ ones) for x in high], w
 
 
-def _orbit(p: int, rep: int) -> list[int]:
-    """The orbit of mask rep under the primitive root, in walk order from rep."""
+def _orbit(p: int, bits: int) -> list[int]:
+    """The class of mask bits: its keys in walk order, then their complements."""
     low, high, w = _generator_table(p)
-    m = (1 << w) - 1
-    orbit, bits = [rep], rep
+    ones, m = (1 << (p - 1) // 2) - 1, (1 << w) - 1
+    rep = bits = min(bits, bits ^ ones)
+    keys = [rep]
     while (bits := low[bits & m] ^ high[bits >> w]) != rep:
-        orbit.append(bits)
-    return orbit
+        keys.append(bits)
+    return keys + [k ^ ones for k in keys]
 
 
 def act(a: int, s: SetMask) -> SetMask:
@@ -241,22 +242,21 @@ def equivalence_classes(p: int, include_members: bool = False,
     """Orbits of the unit action, canonical representative = smallest mask.
 
     Z_p^* is cyclic, so the orbits of one primitive root are the orbits of
-    the whole unit group.  The smallest unvisited mask is the smallest member
-    of its orbit, which is walked until it returns to the start, marking
-    every mask on the way; the next one is found by a scan of the visited
-    bytes.
+    the whole unit group.  A class of size s is s/2 keys, masks folded to the
+    top bit clear, in one cycle whose least key is the class's least mask; the
+    walk marks each key, and a scan of the visited bytes finds the next.
     """
     half = _check_enumerable(p, budget_bits)
     low, high, w = _generator_table(p)
     m = (1 << w) - 1
-    visited = bytearray(1 << half)
+    visited = bytearray(1 << (half - 1))
     # masks fit 32 bits up to half = 32; sizes divide p - 1, below 2^16 for
-    # any p whose 2^half visited bytes fit in memory
+    # any p whose 2^(half-1) visited bytes fit in memory
     reps, sizes = array("I" if half <= 32 else "Q"), array("H")
     rep = 0
     while rep >= 0:
         bits = rep
-        for size in range(1, p):  # an orbit's size divides p - 1
+        for size in range(2, p, 2):  # a class's size is even and divides p - 1
             visited[bits] = 1
             bits = low[bits & m] ^ high[bits >> w]
             if bits == rep:

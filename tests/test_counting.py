@@ -5,6 +5,7 @@ from contextlib import contextmanager
 
 import pytest
 
+from vtt import counting
 from vtt.counting import (
     MAX_COUNT_DIGITS,
     class_count,
@@ -139,6 +140,14 @@ class TestCountTable:
     def test_rejects_empty_range(self):
         with pytest.raises(ValueError):
             count_table(13, 3)
+
+    def test_sieved_primes_are_not_tested_again(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(counting, "is_prime", lambda p: calls.append(p) or is_prime(p))
+        assert len(count_table(3, 3000)) == 429
+        assert calls == []
+        assert class_count(3001) == count_table(3001, 3001)[0][1]
+        assert calls == [3001]
 
     def test_formats(self):
         rows = count_table(3, 7)
