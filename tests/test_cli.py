@@ -71,9 +71,10 @@ class TestCount:
     @pytest.mark.parametrize("arg", ["1000003", "3..1000003"])
     def test_digit_cap_decided_before_counting(self, capsys, monkeypatch, arg):
         # the count is at least 2^((p-1)/2)/(p-1), so p alone decides the cap
+        # phi_table and count_table both run the recursion through _phi_table
         def refuse(p):
-            raise AssertionError(f"phi_table({p}) ran")
-        monkeypatch.setattr(counting, "phi_table", refuse)
+            raise AssertionError(f"_phi_table({p}) ran")
+        monkeypatch.setattr(counting, "_phi_table", refuse)
         code, out, err = run(capsys, "count", arg)
         assert code == 3
         assert out == ""
