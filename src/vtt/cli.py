@@ -129,7 +129,8 @@ def cmd_count(args) -> int:
         counting.check_digit_cap(target)  # before trial division, slow on huge p
         if not is_prime(target):
             raise ValueError(f"{target} is not an odd prime")
-        rows = [(target, counting.class_count(target))]
+        # checked just above, so phi_table's own primality test is skipped
+        rows = [(target, counting._phi_table(target).class_count)]
     else:
         rows = counting.count_table(*target)
     sys.stdout.write(counting.format_count_table(rows, args.format))

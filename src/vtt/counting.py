@@ -33,7 +33,9 @@ class PhiTable:
 
     entries[m] = (count, size): there are exactly `count` classes of size
     `size` = (p-1)/m.  subsumed[m] is the number of m-invariant sets already
-    accounted for at a finer level (the recursion's running subtraction).
+    accounted for at a finer level (the recursion's running subtraction):
+    the sum of count * size over the proper multiples of m that divide
+    odd_part.  class_count is the sum of the counts.
     """
 
     p: int
@@ -41,10 +43,7 @@ class PhiTable:
     odd_part: int
     entries: dict[int, tuple[int, int]]
     subsumed: dict[int, int]
-
-    @property
-    def class_count(self) -> int:
-        return sum(count for count, _ in self.entries.values())
+    class_count: int
 
     @property
     def total_sets(self) -> int:
@@ -63,29 +62,41 @@ def phi_table(p: int) -> PhiTable:
 
 
 def _phi_table(p: int) -> PhiTable:
-    """phi_table for a p already known to be an odd prime."""
+    """phi_table for a p already known to be an odd prime.
+
+    exact[m] = count * size is the number of sets whose stabilizer in Z_p^*
+    has odd part exactly m, kept as the dividend of m's exact division.  The
+    m-invariant sets counted at a finer level are then the sum of exact[d]
+    over the proper multiples d of m, which the descending walk has already
+    stored, so no product count * size is ever formed."""
     r = p - 1
     two_exp = 0
     while r % 2 == 0:
         r //= 2
         two_exp += 1
-    divs = divisors(r)
     entries: dict[int, tuple[int, int]] = {}
     subsumed: dict[int, int] = {}
-    for m in reversed(divs):
-        covered = sum(entries[d][0] * entries[d][1]
-                      for d in divs if d > m and d % m == 0)
+    exact: dict[int, int] = {}
+    total = 0
+    for m in reversed(divisors(r)):
+        covered = 0
+        for d, sets in exact.items():
+            if d % m == 0:
+                covered += sets
         size = (p - 1) // m
         if size % 2:
             raise InconsistencyError(f"class size {size} is odd for p={p}, m={m}")
         remaining = (1 << (size // 2)) - covered
-        if remaining % size:
+        count, rest = divmod(remaining, size)
+        if rest:
             raise InconsistencyError(
                 f"non-exact division at p={p}, m={m}: {remaining} by {size}")
-        entries[m] = (remaining // size, size)
+        entries[m] = (count, size)
         subsumed[m] = covered
-    table = PhiTable(p, two_exp, r, entries, subsumed)
-    if sum(count * size for count, size in entries.values()) != table.total_sets:
+        exact[m] = remaining
+        total += count
+    table = PhiTable(p, two_exp, r, entries, subsumed, total)
+    if sum(exact.values()) != table.total_sets:
         raise InconsistencyError(f"class sizes do not exhaust all sets for p={p}")
     return table
 
@@ -145,7 +156,7 @@ def _decimal_counts(rows: list[tuple[int, int]]) -> Iterator[str]:
     from decimal import Context, Inexact, InvalidOperation, Rounded
 
     # 2^h has h + 1 bits and e at most one more than 2^h or count * d
-    bits = max((max((p - 1) // 2, (count * max(p - 1, 1)).bit_length()) + 2
+    bits = max((max((p - 1) // 2, count.bit_length() + max(p - 1, 1).bit_length()) + 2
                 for p, count in rows), default=0)
     ctx = Context(prec=bits // 3 + 1, traps=[InvalidOperation, Inexact, Rounded])
     power = h_prev = None  # power = 2^h_prev, in decimal

@@ -30,19 +30,23 @@ def is_prime(n: int) -> bool:
 
 
 def divisors(r: int) -> list[int]:
-    """All positive divisors of r, increasing."""
+    """All positive divisors of r, increasing: the products of the prime
+    powers that trial division of the shrinking cofactor finds."""
     if r < 1:
         raise ValueError(f"divisors requires r >= 1, got {r}")
-    small: list[int] = []
-    large: list[int] = []
-    d = 1
-    while d * d <= r:
-        if r % d == 0:
-            small.append(d)
-            if d != r // d:
-                large.append(r // d)
-        d += 1
-    return small + large[::-1]
+    divs = [1]
+    f = 2
+    while f * f <= r:
+        if r % f == 0:
+            powers = [1]
+            while r % f == 0:
+                r //= f
+                powers.append(powers[-1] * f)
+            divs = [d * q for d in divs for q in powers]
+        f += 1 if f == 2 else 2
+    if r > 1:
+        divs += [d * r for d in divs]
+    return sorted(divs)
 
 
 def units(n: int) -> list[int]:

@@ -10,9 +10,10 @@ import pytest
 
 from vtt import cli, counting
 from vtt.counting import class_count
+from vtt.errors import InconsistencyError
 from vtt.fixtures import run_all
 from vtt.graphs import cayley_digraph, petersen
-from vtt.groups import cyclic
+from vtt.groups import cyclic, divisors, is_prime
 
 
 def edge_list(g):
@@ -81,9 +82,36 @@ class TestCount:
         assert "digits" in err
 
     def test_rejects_non_prime(self, capsys):
-        code, _, err = run(capsys, "count", "4")
-        assert code == 2
-        assert "not an odd prime" in err
+        for arg in ("4", "9"):
+            code, _, err = run(capsys, "count", arg)
+            assert code == 2
+            assert "not an odd prime" in err
+
+    def test_single_prime_is_tested_once(self, capsys, monkeypatch):
+        want = f"3001\t{class_count(3001)}\n"
+        calls = []
+        def spy(n):
+            calls.append(n)
+            return is_prime(n)
+        monkeypatch.setattr(cli, "is_prime", spy)
+        monkeypatch.setattr(counting, "is_prime", spy)
+        code, out, _ = run(capsys, "count", "3001")
+        assert code == 0
+        assert out == want
+        assert calls == [3001]
+
+    @pytest.mark.parametrize("trim, message", [
+        (lambda divs: divs[:-1], "non-exact division at p=331, m=55"),
+        (lambda divs: divs[1:], "class sizes do not exhaust all sets for p=331"),
+    ], ids=["without-r", "without-1"])
+    def test_recursion_inconsistency_exits_1(self, capsys, monkeypatch, trim, message):
+        monkeypatch.setattr(counting, "divisors", lambda r: trim(divisors(r)))
+        with pytest.raises(InconsistencyError, match=message):
+            counting.phi_table(331)
+        code, out, err = run(capsys, "count", "331")
+        assert code == 1
+        assert out == ""
+        assert message in err
 
     def test_rejects_garbage(self, capsys):
         code, _, err = run(capsys, "count", "eleven")

@@ -15,7 +15,7 @@ from vtt.counting import (
 )
 from vtt.enumeration import equivalence_classes
 from vtt.errors import SizeLimitError
-from vtt.groups import is_prime
+from vtt.groups import divisors, is_prime
 
 # the full results table for odd primes up to 83
 KNOWN_COUNTS = {
@@ -81,10 +81,15 @@ class TestPhiTable:
             141721370892693616310660347414912183636921916503, 330)
 
     def test_exact_division_invariant(self):
-        for p in KNOWN_COUNTS:
+        # 151, 163 and 487 have odd parts 75, 81 and 243, with repeated factors
+        for p in [*KNOWN_COUNTS, 151, 163, 487]:
             t = phi_table(p)
+            assert sorted(t.entries) == sorted(t.subsumed) == divisors(t.odd_part)
             for m, (count, size) in t.entries.items():
                 assert count * size == (1 << (size // 2)) - t.subsumed[m]
+                assert t.subsumed[m] == sum(t.entries[d][0] * t.entries[d][1]
+                                            for d in t.entries if d > m and d % m == 0)
+            assert t.class_count == sum(count for count, _ in t.entries.values())
 
     @pytest.mark.parametrize("bad", [2, 4, 9, 15, 21, 1, -7])
     def test_rejects_non_odd_primes(self, bad):

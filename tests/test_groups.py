@@ -48,6 +48,11 @@ def test_divisors():
     assert divisors(1) == [1]
     assert divisors(165) == [1, 3, 5, 11, 15, 33, 55, 165]
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors(49) == [1, 7, 49]
+    assert divisors(3 ** 9) == [3 ** k for k in range(10)]
+    assert divisors(2 ** 12) == [2 ** k for k in range(13)]
+    for n in range(1, 2001):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
     with pytest.raises(ValueError):
         divisors(0)
 
