@@ -1,26 +1,25 @@
 """Permutations, digraph isomorphism search, automorphism groups, orbits, and
 Cayley recognition.
 
-Groups grow by walking products of generators breadth first from the
-identity, |G|*|gens| compositions for a group G: `_walk` keeps one product
-per key value, `_semiregular_walk` one per image of 0 until a product shows
-the group is not semiregular.  One search finds the least isomorphism
-g -> h that respects a paired vertex partition.  Colour refinement (McKay &
-Piperno 2014) splits paired cells by out- and in-neighbour counts in each
-other cell until the partition is equitable; the search places vertices in
-ascending order, individualizes each with its images in turn, ascending,
-and refines again.  `isomorphic` runs it from one cell.  `automorphisms`
-builds a stabilizer chain along the base 0..n-1 (Sims 1970) with one such
-search per candidate coset representative and `_walk` transversals.  A
-`PermGroup` is that chain: its order is the product of the basic orbit
-lengths, and `_products` walks its elements lazily.  Results are deterministic.
+Groups grow by one breadth-first walk over generator products composed in C,
+`_walk`: one product per key value, or, semiregular, until a product shows
+the group is not.  One search finds the least isomorphism g -> h that
+respects a paired vertex partition.  Colour refinement (McKay & Piperno
+2014) splits paired cells by out- and in-neighbour counts in each other cell
+until the partition is equitable; the search places vertices in ascending
+order, individualizes each with its images in turn, ascending, and refines
+again.  `isomorphic` runs it from one cell.  `automorphisms` builds a
+stabilizer chain along the base 0..n-1 (Sims 1970) with one such search per
+candidate coset representative and `_walk` transversals.  A `PermGroup` is
+that chain: its order is the product of the basic orbit lengths, and
+`_products` walks its elements lazily.  Results are deterministic.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .errors import InconsistencyError, SizeLimitError
 from .graphs import Digraph, _bits_to_list
@@ -31,15 +30,23 @@ DEFAULT_AUT_CAP = 16
 # Largest automorphism group order admitted (C5[C3] has 77,760): the regular-
 # subgroup search walks cosets of G_1, of 15! elements for the empty 16-vertex graph.
 MAX_AUT_ELEMENTS = 100_000
+# Most `_extend` calls one `isomorphic` or `automorphisms` call may make; the
+# golden, benchmark and 1009-vertex test searches peak at 100 (BENCH_16.json).
+MAX_SEARCH_NODES = 10_000
 
 
 def identity_perm(n: int) -> Permutation:
     return tuple(range(n))
 
 
+def _after(q: Permutation):
+    """p -> compose(p, q); itemgetter of one index returns a bare element."""
+    return itemgetter(*q) if len(q) > 1 else lambda p: tuple(p[i] for i in q)
+
+
 def compose(p: Permutation, q: Permutation) -> Permutation:
     """Composition applying q first, then p."""
-    return tuple(p[q[i]] for i in range(len(p)))
+    return _after(q)(p)
 
 
 def perm_cycles(p: Permutation) -> list[tuple[int, ...]]:
@@ -65,7 +72,7 @@ def perm_order(p: Permutation) -> int:
 
 
 def fixed_points(p: Permutation) -> int:
-    return sum(1 for i, x in enumerate(p) if i == x)
+    return sum(map(eq, p, range(len(p))))
 
 
 def perm_str(p: Permutation) -> str:
@@ -98,7 +105,8 @@ class PermGroup:
         for g in gens:
             if sorted(g) != list(range(degree)):
                 raise ValueError(f"{g} is not a permutation of degree {degree}")
-        return cls.from_elements(degree, _walk(degree, gens, lambda p: p).values())
+        ident = identity_perm(degree)
+        return cls.from_elements(degree, _walk(gens, {ident: ident}, lambda p: p).values())
 
     @classmethod
     def from_elements(cls, degree: int, elements) -> "PermGroup":
@@ -135,18 +143,18 @@ def _products(levels, u: int, x: Permutation, moving: bool = False):
     group has such levels.  With moving, a branch ends once its product
     fixes a point whose image no later level changes."""
     steps = [v for v in range(u, len(levels)) if len(levels[v]) > 1]
+    # step i: its level as (t[v], x -> compose(x, t)) pairs, and the points final in x there
+    reps = [[(w, _after(t)) for w, t in levels[v].items()] for v in steps]
+    final = [(slice(a, b), range(a, b)) for a, b in zip([u, *steps], [*steps, len(levels)])]
 
     def walk(i: int, x: Permutation):
-        # the points from the previous step's level up to this one's are final in x
-        final = range(steps[i - 1] if i else u, steps[i] if i < len(steps) else len(levels))
-        if moving and any(x[w] == w for w in final):
+        if moving and any(map(eq, x[final[i][0]], final[i][1])):
             return
         if i == len(steps):
             yield x
             return
-        v = steps[i]
-        for t in sorted(levels[v].values(), key=lambda t: x[t[v]]):
-            yield from walk(i + 1, compose(x, t))
+        for _, after_t in sorted([(x[w], after_t) for w, after_t in reps[i]]):
+            yield from walk(i + 1, after_t(x))
 
     return walk(0, x)
 
@@ -216,18 +224,20 @@ def _individualize(g: Digraph, h: Digraph, cells: tuple[list[int], list[int]],
 
 
 def _extend(g: Digraph, h: Digraph, cells: tuple[list[int], list[int]] | None,
-            u: int) -> Permutation | None:
+            u: int, budget) -> Permutation | None:
     """The least isomorphism g -> h that respects the paired partition, or
-    None: it places u, u+1, ... (those below u are singletons already) and
-    tries each one's paired cell in ascending order.  Refinement only drops
-    images that no isomorphism uses, so the least map is still found."""
+    None: it places u, u+1, ... (0..u-1 are singletons) and tries each one's
+    paired cell in ascending order, one node of budget a call.  Refinement
+    only drops images that no isomorphism uses, so the least map is found."""
+    if next(budget, None) is None:
+        raise SizeLimitError(f"isomorphism search stopped after {MAX_SEARCH_NODES} nodes")
     if cells is None:
         return None
     cells_g, cells_h = cells
     if len(cells_g) == g.n:
         return tuple(_cell_map(cells_g, cells_h))
     for w in _bits_to_list(cells_h[_cell_of(cells_g, u)]):
-        if (found := _extend(g, h, _individualize(g, h, cells, u, w), u + 1)) is not None:
+        if (found := _extend(g, h, _individualize(g, h, cells, u, w), u + 1, budget)) is not None:
             return found
     return None
 
@@ -245,7 +255,8 @@ def isomorphic(g: Digraph, h: Digraph) -> Permutation | None:
     """
     if g.n != h.n:
         return None
-    p = _extend(g, h, _refine(g, h, [(1 << g.n) - 1], [(1 << h.n) - 1], [0]), 0)
+    cells = _refine(g, h, [(1 << g.n) - 1], [(1 << h.n) - 1], [0])
+    p = _extend(g, h, cells, 0, iter(range(MAX_SEARCH_NODES)))
     if p is None:
         return None
     mapped = {(p[u], p[v]) for u, v in g.arcs()}
@@ -254,42 +265,30 @@ def isomorphic(g: Digraph, h: Digraph) -> Permutation | None:
     return p
 
 
-def _walk(n: int, generators: list[Permutation], key) -> dict:
-    """The first product of generators found, breadth first from the
-    identity, for each value of key: the whole group keyed by the element, a
-    transversal of u's orbit keyed by the image of u."""
-    ident = identity_perm(n)
-    found = {key(ident): ident}
-    queue = [ident]
-    for x in queue:
-        for s in generators:
-            y = compose(s, x)
-            if (k := key(y)) not in found:
+def _walk(generators: list[Permutation], found: dict, key,
+          semiregular: bool = False, closed: int = 0) -> dict | None:
+    """Grow found by the first product of generators reached breadth first
+    for each new value of key: from the identity, the whole group keyed by
+    the element or a transversal of u's orbit keyed by u's image.  The first
+    `closed` values take only the last generator; the others keep them in
+    found.  A walk that ends is closed, so it holds the whole group or orbit.
+    Semiregular (keyed by the image of 0), it returns None at a product other
+    than the identity that fixes a point or takes 0 where another one does."""
+    queue = list(found.values())
+    ident = queue[0]
+    for i, x in enumerate(queue):
+        after_x = _after(x)
+        for s in generators if i >= closed else generators[-1:]:
+            y = after_x(s)
+            held = found.get(k := key(y))
+            if held is None:
+                if semiregular and any(map(eq, y, ident)):
+                    return None
                 found[k] = y
                 queue.append(y)
-    return found
-
-
-def _semiregular_walk(n: int, generators: list[Permutation]) -> dict[int, Permutation] | None:
-    """The generated group keyed by the image of 0, or None once it is not
-    semiregular: a product other than the identity fixes a point, or two
-    take 0 to the same vertex (the stabilizer of 0 is nontrivial).  A walk
-    that ends is closed under the generators, so it holds the whole group."""
-    ident = identity_perm(n)
-    by_image = {0: ident}
-    queue = [ident]
-    for x in queue:
-        for s in generators:
-            y = compose(s, x)
-            held = by_image.get(y[0])
-            if held is None:
-                if fixed_points(y):
-                    return None
-                by_image[y[0]] = y
-                queue.append(y)
-            elif held != y:
+            elif semiregular and held != y:
                 return None
-    return by_image
+    return found
 
 
 def automorphisms(g: Digraph, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
@@ -307,6 +306,7 @@ def automorphisms(g: Digraph, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
         raise SizeLimitError(
             f"automorphism enumeration capped at {cap} vertices, graph has {g.n}")
     n = g.n
+    budget = iter(range(MAX_SEARCH_NODES))
     # partitions[u]: the refined partition with 0..u-1 individualized
     partitions = [_refine(g, g, [(1 << n) - 1], [(1 << n) - 1], [0])]
     for u in range(n - 1):
@@ -315,14 +315,14 @@ def automorphisms(g: Digraph, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
     levels = []
     order = 1
     for u in reversed(range(n)):
-        reps = _walk(n, generators, itemgetter(u))
+        reps = _walk(generators, {u: identity_perm(n)}, itemgetter(u))
         cells = partitions[u]
         for w in _bits_to_list(cells[1][_cell_of(cells[0], u)]):
             if w > u and w not in reps:
-                found = _extend(g, g, _individualize(g, g, cells, u, w), u + 1)
+                found = _extend(g, g, _individualize(g, g, cells, u, w), u + 1, budget)
                 if found is not None:
                     generators.append(found)
-                    reps = _walk(n, generators, itemgetter(u))
+                    reps = _walk(generators, {u: identity_perm(n)}, itemgetter(u))
         order *= len(reps)
         if order > MAX_AUT_ELEMENTS:
             raise SizeLimitError(
@@ -360,28 +360,28 @@ def find_regular_subgroup(aut: PermGroup, n: int) -> PermGroup | None:
     """A transitive subgroup of order n with trivial stabilizers, if any.
 
     Each step adds a fixed-point-free generator taking 0 to the smallest
-    vertex the group does not reach yet, and `_semiregular_walk` drops it at
-    the first product that fixes a point.  A regular group holds exactly one
-    element taking 0 to that vertex, so branching on these alone misses none.
-    The orbits of a semiregular group all have its order, so it divides n.
-    The candidates taking 0 to v are walked from the coset levels[0][v]*G_1.
+    vertex the group does not reach yet, and `_walk` grows the group by it
+    until a product fixes a point.  A regular group holds exactly one element
+    taking 0 to that vertex, so branching on these alone misses none.  The
+    orbits of a semiregular group all have its order, so it divides n.  The
+    candidates taking 0 to v are walked from the coset levels[0][v]*G_1.
     """
     if aut.degree != n:
         raise ValueError(f"group degree {aut.degree} does not match n={n}")
     if len(aut.levels[0]) != n:
         return None  # a regular subgroup is transitive, so aut is too
 
-    def extend(generators: list[Permutation]) -> dict[int, Permutation] | None:
-        group = _semiregular_walk(n, generators)
+    def extend(generators: list[Permutation], group: dict) -> dict[int, Permutation] | None:
+        group = _walk(generators, dict(group), itemgetter(0), True, len(group))
         if group is None or len(group) == n:
             return group
         target = next(v for v in range(n) if v not in group)
         for p in _products(aut.levels, 1, aut.levels[0][target], moving=True):
-            if (result := extend(generators + [p])) is not None:
+            if (result := extend(generators + [p], group)) is not None:
                 return result
         return None
 
-    hit = extend([])
+    hit = extend([], {0: identity_perm(n)})
     if hit is None:
         return None
     sub = PermGroup.from_elements(n, hit.values())

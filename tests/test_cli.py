@@ -5,15 +5,18 @@ import time
 import tracemalloc
 from array import array
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
-from vtt import cli, counting
+from vtt import cli, counting, perm
 from vtt.counting import class_count
 from vtt.errors import InconsistencyError
 from vtt.fixtures import run_all
 from vtt.graphs import cayley_digraph, petersen
 from vtt.groups import cyclic, divisors, is_prime
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def edge_list(g):
@@ -321,6 +324,14 @@ class TestRecognize:
         assert code == 3
         assert out == ""
         assert "more than 100000 automorphisms" in err
+
+    def test_search_budget(self, capsys, monkeypatch):
+        # a search past the node budget ends at exit 3 with nothing on stdout
+        monkeypatch.setattr(perm, "MAX_SEARCH_NODES", 5)
+        code, out, err = run(capsys, "recognize", str(GOLDEN / "c4-c4.graph"))
+        assert code == 3
+        assert out == ""
+        assert "5 nodes" in err
 
     def test_vertex_cap_checked_before_building(self, capsys, tmp_path):
         path = tmp_path / "huge.txt"

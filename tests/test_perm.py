@@ -1,7 +1,9 @@
+import json
 import random
 import time
 import tracemalloc
 from itertools import permutations
+from operator import itemgetter
 
 import pytest
 
@@ -10,7 +12,7 @@ from vtt.errors import InconsistencyError, SizeLimitError
 from vtt.graphs import (
     Digraph, cayley_digraph, cycle, k_cube, kneser, petersen, relabel, wreath_product)
 from vtt.groups import AbelianGroup, cyclic
-from vtt import perm
+from vtt import cli, perm
 from vtt.perm import (
     PermGroup,
     automorphisms,
@@ -57,10 +59,20 @@ def brute_force_closure(degree, gens):
 
 
 class TestPermBasics:
-    def test_compose_applies_right_first(self):
-        p = (1, 2, 0)
-        q = (0, 2, 1)
-        assert compose(p, q) == tuple(p[q[i]] for i in range(3))
+    def test_compose_applies_right_first(self, capsys, tmp_path):
+        rng = random.Random(16)
+        for n in range(1, 21):
+            for _ in range(5):
+                p, q = random_generators(rng, n, 2)
+                assert compose(p, q) == tuple(p[q[i]] for i in range(n))
+        # degrees 1 and 2 end to end, where itemgetter needs its guard
+        for text, witness in (("digraph 1\n", [[0]]), ("graph 2\n0 1\n", [[0, 1], [1, 0]])):
+            path = tmp_path / "small.graph"
+            path.write_text(text)
+            assert cli.main(["recognize", str(path), "--format", "json"]) == 0
+            assert capsys.readouterr().out == json.dumps(
+                {"n": len(witness), "vertex_transitive": True, "cayley": True,
+                 "witness": witness}, separators=(",", ":")) + "\n"
 
     def test_order_and_cycles(self):
         assert perm_order(identity_perm(5)) == 1
@@ -151,6 +163,15 @@ class TestIsomorphic:
                 t = SetMask(p, rng.getrandbits(half)).members()
             g, h = cayley_digraph(cyclic(p), set(s)), cayley_digraph(cyclic(p), set(t))
             assert (isomorphic(g, h) is not None) == (unit_multiplier(p, s, t) is not None)
+
+    def test_search_budget(self, monkeypatch):
+        g = wreath_product(cycle(4), cycle(4))
+        h = relabel(g, random.Random(5).sample(range(16), 16))
+        monkeypatch.setattr(perm, "MAX_SEARCH_NODES", 5)
+        with pytest.raises(SizeLimitError, match="5 nodes"):
+            isomorphic(g, h)
+        with pytest.raises(SizeLimitError, match="5 nodes"):
+            automorphisms(g)
 
     def test_witness_maps_arcs_exactly(self):
         g = petersen()
@@ -286,6 +307,11 @@ class TestBurnside:
             assert burnside_orbit_count(g, degree) == len(orbits(g, degree))
             closure = brute_force_closure(degree, gens)
             assert list(g) == sorted(closure) and len(g) == len(closure)
+            # the walk keyed by the image of u: one element of the closure per point of u's orbit
+            u = rng.randrange(degree)
+            reps = perm._walk(gens, {u: identity_perm(degree)}, itemgetter(u))
+            assert reps.keys() == {x[u] for x in closure}
+            assert all(x[u] == w and x in closure for w, x in reps.items())
 
     def test_non_group_raises(self):
         # a 3-cycle without its inverse: fixed-point sum 3 over 2 "elements"
@@ -378,6 +404,30 @@ class TestRegularSubgroup:
             if reg is not None:
                 assert len(reg) == n and len(reg.orbit(0)) == n
                 assert set(reg) <= set(g)
+
+    def test_semiregular_walk_stopping_rules(self):
+        ident = identity_perm(5)
+        walk = perm._walk
+        # (0 1 2)(3 4) moves every point, its square fixes 3 and 4
+        assert walk([(1, 2, 0, 4, 3)], {0: ident}, itemgetter(0), True) is None
+        # (0 1 2 3) and (0 1)(2 3) both take 0 to 1; without this rule the walk
+        # would keep one product per image of 0, none fixing a point
+        assert walk([(1, 2, 3, 0), (1, 0, 3, 2)], {0: ident[:4]}, itemgetter(0), True) is None
+        # otherwise the walk holds the group, whether it starts from the identity
+        # or grows a closed group by the last generator: here on random pairs
+        rng = random.Random(20261019)
+        for _ in range(200):
+            n = rng.randint(2, 6)
+            a, b = random_generators(rng, n, 2)
+            closure = brute_force_closure(n, [a, b])
+            semiregular = len({x[0] for x in closure}) == len(closure) and all(
+                x == identity_perm(n) or not fixed_points(x) for x in closure)
+            fresh = walk([a, b], {0: identity_perm(n)}, itemgetter(0), True)
+            start = walk([a], {0: identity_perm(n)}, itemgetter(0), True)
+            grown = start and walk([a, b], dict(start), itemgetter(0), True, len(start))
+            assert (fresh is not None) == semiregular
+            if semiregular:
+                assert set(fresh.values()) == set(grown.values()) == closure
 
     def test_search_keeps_the_group_as_a_chain(self):
         # C5[C3] has 77,760 automorphisms; a list of them takes about 14 MB
