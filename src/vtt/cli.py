@@ -42,6 +42,43 @@ def _env_default(name: str, fallback, cast=str):
         raise SystemExit(EXIT_BAD_INPUT)
 
 
+def _add_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
+    """command's arguments: the four flags that every command takes, then its own."""
+    formats = {f: f for f in ("text", "tsv", "json", "dot")}
+    parser.add_argument("--format", choices=tuple(formats),
+                        default=_env_default("FORMAT", "text", formats.__getitem__),
+                        help="output format (default: text)")
+    parser.add_argument("--budget-bits", type=int, metavar="B",
+                        default=_env_default("BUDGET_BITS", enumeration.DEFAULT_BUDGET_BITS, int),
+                        help="mask-bit budget for explicit enumeration: admits p with "
+                             "(p-1)/2 <= B; the orbit walk needs about 0.7 bytes per mask "
+                             "(default: %(default)s)")
+    parser.add_argument("--aut-cap", type=int, metavar="N",
+                        default=_env_default("AUT_CAP", perm.DEFAULT_AUT_CAP, int),
+                        help="vertex cap for automorphism search, checked on the graph "
+                             "file's header before the graph is built; a group of order "
+                             f"more than {perm.MAX_AUT_ELEMENTS:,} also exits 3, checked as "
+                             "its stabilizer chain grows (default: %(default)s)")
+    parser.add_argument("--workers", type=int, metavar="W",
+                        default=_env_default("WORKERS", 1, int),
+                        help="accepted for compatibility and checked to be >= 1; has no "
+                             "effect, enumeration is a single serial orbit walk "
+                             "(default: %(default)s)")
+    if command == "count":
+        parser.add_argument("prime", help="an odd prime P, or a range LO..HI")
+    elif command in ("classes", "verify"):
+        parser.add_argument("prime", type=int, help="an odd prime within the bit budget")
+    elif command == "recognize":
+        parser.add_argument("file", help="path to a graph file ('digraph n' or 'graph n' header)")
+    if command == "classes":
+        switch = dict.fromkeys(("1", "true", "yes", "on"), True)
+        switch.update(dict.fromkeys(("0", "false", "no", "off"), False))
+        parser.add_argument("--members", action="store_true",
+                            default=_env_default("MEMBERS", False, lambda raw: switch[raw.lower()]),
+                            help="include the full member list of every class")
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vtt",
@@ -53,54 +90,20 @@ def build_parser() -> argparse.ArgumentParser:
                "Flags take precedence over the environment. VTT_WORKERS/--workers "
                "has no effect on the output or the work done.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    formats = {f: f for f in ("text", "tsv", "json", "dot")}
-    common.add_argument("--format", choices=tuple(formats),
-                        default=_env_default("FORMAT", "text", formats.__getitem__),
-                        help="output format (default: text)")
-    common.add_argument("--budget-bits", type=int, metavar="B",
-                        default=_env_default("BUDGET_BITS", enumeration.DEFAULT_BUDGET_BITS, int),
-                        help="mask-bit budget for explicit enumeration: admits p with "
-                             "(p-1)/2 <= B; the orbit walk needs about 0.7 bytes per mask "
-                             "(default: %(default)s)")
-    common.add_argument("--aut-cap", type=int, metavar="N",
-                        default=_env_default("AUT_CAP", perm.DEFAULT_AUT_CAP, int),
-                        help="vertex cap for automorphism search, checked on the graph "
-                             "file's header before the graph is built; a group of order "
-                             f"more than {perm.MAX_AUT_ELEMENTS:,} also exits 3, checked as "
-                             "its stabilizer chain grows (default: %(default)s)")
-    common.add_argument("--workers", type=int, metavar="W",
-                        default=_env_default("WORKERS", 1, int),
-                        help="accepted for compatibility and checked to be >= 1; has no "
-                             "effect, enumeration is a single serial orbit walk "
-                             "(default: %(default)s)")
-
-    p_count = sub.add_parser("count", parents=[common],
-                             help="exact class count for a prime or a prime range")
-    p_count.add_argument("prime", help="an odd prime P, or a range LO..HI")
-
-    switch = dict.fromkeys(("1", "true", "yes", "on"), True)
-    switch.update(dict.fromkeys(("0", "false", "no", "off"), False))
-    p_classes = sub.add_parser("classes", parents=[common],
-                               help="enumerate the classes with canonical representatives")
-    p_classes.add_argument("prime", type=int, help="an odd prime within the bit budget")
-    p_classes.add_argument("--members", action="store_true",
-                           default=_env_default("MEMBERS", False, lambda raw: switch[raw.lower()]),
-                           help="include the full member list of every class")
-
-    p_verify = sub.add_parser("verify", parents=[common],
-                              help="check formula vs orbit enumeration vs Burnside count")
-    p_verify.add_argument("prime", type=int, help="an odd prime within the bit budget")
-
-    p_rec = sub.add_parser("recognize", parents=[common],
-                           help="vertex-transitivity and Cayley recognition for a graph file")
-    p_rec.add_argument("file", help="path to a graph file ('digraph n' or 'graph n' header)")
-
-    sub.add_parser("fixtures", parents=[common],
-                   help="run the bundled order-9 / order-25 cross-checks")
-
+    for name, (_, _, text) in _HANDLERS.items():
+        _add_arguments(sub.add_parser(name, help=text), name)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """Only the parser of the command named first, as `build_parser` has it; the
+    full one for -h, no or an unknown command, or unrecognized arguments."""
+    if argv and argv[0] in _HANDLERS:
+        parser = _add_arguments(argparse.ArgumentParser(prog=f"vtt {argv[0]}"), argv[0])
+        args, extra = parser.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def _positive(args) -> None:
@@ -202,19 +205,22 @@ def cmd_fixtures(args) -> int:
     return EXIT_OK if not failed else EXIT_VERIFY_FAILED
 
 
-# command -> (handler, the --format values it accepts)
+# command -> (handler, the --format values it accepts, its help line)
 _HANDLERS = {
-    "count": (cmd_count, ("text", "tsv", "json")),
-    "classes": (cmd_classes, ("text", "json")),
-    "verify": (cmd_verify, ("text", "json")),
-    "recognize": (cmd_recognize, ("text", "tsv", "json", "dot")),
-    "fixtures": (cmd_fixtures, ("text", "json")),
+    "count": (cmd_count, ("text", "tsv", "json"), "exact class count for a prime or a prime range"),
+    "classes": (cmd_classes, ("text", "json"),
+                "enumerate the classes with canonical representatives"),
+    "verify": (cmd_verify, ("text", "json"),
+               "check formula vs orbit enumeration vs Burnside count"),
+    "recognize": (cmd_recognize, ("text", "tsv", "json", "dot"),
+                  "vertex-transitivity and Cayley recognition for a graph file"),
+    "fixtures": (cmd_fixtures, ("text", "json"), "run the bundled order-9 / order-25 cross-checks"),
 }
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handler, formats = _HANDLERS[args.command]
+    args = _parse(sys.argv[1:] if argv is None else list(argv))
+    handler, formats, _ = _HANDLERS[args.command]
     try:
         _positive(args)
         if args.format not in formats:

@@ -2,17 +2,17 @@
 Cayley recognition.
 
 Groups grow by one breadth-first walk over generator products composed in C,
-`_walk`: one product per key value, or, semiregular, until a product shows
-the group is not.  One search finds the least isomorphism g -> h that
-respects a paired vertex partition.  Colour refinement (McKay & Piperno
-2014) splits paired cells by out- and in-neighbour counts in each other cell
-until the partition is equitable; the search places vertices in ascending
-order, individualizes each with its images in turn, ascending, and refines
-again.  `isomorphic` runs it from one cell.  `automorphisms` builds a
-stabilizer chain along the base 0..n-1 (Sims 1970) with one such search per
-candidate coset representative and `_walk` transversals.  A `PermGroup` is
-that chain: its order is the product of the basic orbit lengths, and
-`_products` walks its elements lazily.  Results are deterministic.
+`_walk`: one product per key value, or, semiregular, until a product shows the
+group is not.  One search finds the least isomorphism g -> h that respects a
+paired vertex partition.  Colour refinement (McKay & Piperno 2014) splits g's
+cells by out- and in-neighbour counts in each other cell until equitable, once
+per depth of the search, which places vertices in ascending order,
+individualizes each with its images in turn, ascending, and replays g's splits
+on h.  `isomorphic` runs it from one cell.  `automorphisms` builds a stabilizer
+chain along the base 0..n-1 (Sims 1970) with one such search per candidate
+coset representative and `_walk` transversals.  A `PermGroup` is that chain:
+its order is the product of the basic orbit lengths, and `_products` walks its
+elements lazily.  Results are deterministic.
 """
 
 from __future__ import annotations
@@ -159,85 +159,107 @@ def _products(levels, u: int, x: Permutation, moving: bool = False):
     return walk(0, x)
 
 
-def _refine(g: Digraph, h: Digraph, cells_g: list[int], cells_h: list[int],
-            splitters: list[int]) -> tuple[list[int], list[int]] | None:
-    """Refine paired partitions in place until equitable, or None once the
-    sides differ.  Cells are bitmasks, cell k of g paired with cell k of h.
-    A splitter splits each non-singleton cell by the key (out-, in-neighbours
-    in it); by sorted key, the first piece keeps the index and the rest are
-    appended and queued, so the pairing never depends on vertex labels."""
-    radix = g.n + 1
+def _keyed(d: Digraph, cell: int, split: int) -> dict[int, int]:
+    """cell's vertices as masks by their key (out-, in-neighbours in split)."""
+    radix, adj, preds = d.n + 1, d.adj, d.preds
+    keyed: dict[int, int] = {}
+    while cell:
+        low = cell & -cell
+        v = low.bit_length() - 1
+        key = (adj[v] & split).bit_count() * radix + (preds[v] & split).bit_count()
+        keyed[key] = keyed.get(key, 0) | low
+        cell ^= low
+    return keyed
+
+
+def _refine(g: Digraph, cells: list[int], splitters: list[int]) -> tuple[list[int], list]:
+    """g's partition refined in place until equitable, and its trace.  Cells
+    are bitmasks.  A splitter splits each non-singleton cell by `_keyed`; by
+    sorted key, the first piece keeps the index and the rest are appended and
+    queued, so no index depends on vertex labels.  The trace holds one
+    (splitter, cell, ((key, size), ...)) per cell examined, in order."""
     queue = list(splitters)
-    while queue and len(cells_g) < g.n:
+    trace = []
+    while queue and len(cells) < g.n:
         s = queue.pop()
-        keyed_g, keyed_h = {}, {}
-        for k in range(len(cells_g)):
-            if not cells_g[k] & (cells_g[k] - 1):
-                continue  # a singleton cannot split; the map is checked once discrete
-            for d, split, cell, keyed in ((g, cells_g[s], cells_g[k], keyed_g),
-                                          (h, cells_h[s], cells_h[k], keyed_h)):
-                keyed.clear()
-                for v in _bits_to_list(cell):
-                    key = (d.adj[v] & split).bit_count() * radix + (d.preds[v] & split).bit_count()
-                    keyed[key] = keyed.get(key, 0) | 1 << v
-            if keyed_g.keys() != keyed_h.keys():
-                return None
-            if len(keyed_g) == 1:
-                continue
-            keys = sorted(keyed_g)
-            if any(keyed_g[key].bit_count() != keyed_h[key].bit_count() for key in keys):
-                return None
-            pieces = [k, *range(len(cells_g), len(cells_g) + len(keys) - 1)]
-            cells_g[k], cells_h[k] = keyed_g[keys[0]], keyed_h[keys[0]]
-            cells_g += [keyed_g[key] for key in keys[1:]]
-            cells_h += [keyed_h[key] for key in keys[1:]]
-            queue += [i for i in pieces if i not in queue]
-    if len(cells_g) == g.n:  # discrete: a map, equitable iff it keeps every arc
-        mapping = _cell_map(cells_g, cells_h)
-        if any(sum(1 << mapping[x] for x in _bits_to_list(g.adj[v])) != h.adj[w]
-               for v, w in enumerate(mapping)):
+        for k in range(len(cells)):
+            if not cells[k] & (cells[k] - 1):
+                continue  # a singleton cannot split
+            keyed = _keyed(g, cells[k], cells[s])
+            keys = sorted(keyed)
+            trace.append((s, k, tuple((key, keyed[key].bit_count()) for key in keys)))
+            if len(keys) > 1:
+                pieces = [k, *range(len(cells), len(cells) + len(keys) - 1)]
+                cells[k] = keyed[keys[0]]
+                cells += [keyed[key] for key in keys[1:]]
+                queue += [i for i in pieces if i not in queue]
+    return cells, trace
+
+
+def _replay(h: Digraph, cells: list[int], trace) -> list[int] | None:
+    """h's partition, paired cell by cell with g's, split in place as g's trace
+    split g's, or None at the first key set or piece size that differs."""
+    for s, k, sized in trace:
+        keyed = _keyed(h, cells[k], cells[s])
+        if len(keyed) != len(sized) or any(keyed.get(key, 0).bit_count() != size
+                                           for key, size in sized):
             return None
-    return cells_g, cells_h
+        cells[k] = keyed[sized[0][0]]
+        cells += [keyed[key] for key, _ in sized[1:]]
+    return cells
 
 
-def _cell_map(cells_g: list[int], cells_h: list[int]) -> list[int]:
-    """The map that a discrete paired partition defines (masks 1 << v sort by v)."""
-    return [cell_h.bit_length() - 1 for _, cell_h in sorted(zip(cells_g, cells_h))]
+def _split_off(cells: list[int], k: int, v: int) -> list[int]:
+    """cells with v moved from cell k to a new last cell; as is if cell k is {v}."""
+    if cells[k] == 1 << v:
+        return cells
+    cells = cells + [1 << v]
+    cells[k] ^= 1 << v
+    return cells
 
 
-def _cell_of(cells: list[int], u: int) -> int:
-    return next(k for k, cell in enumerate(cells) if cell >> u & 1)
+def _chain(g: Digraph):
+    """depth(u) -> (cells, k, trace): g's partition with 0..u-1 individualized
+    and refined, the index of u's cell, and the trace from depth u-1 with u-1
+    split off (from one cell at depth 0), computed when first asked for."""
+    depths = []
+
+    def add(cells: list[int], trace) -> None:
+        u = len(depths)
+        depths.append((cells, next(k for k, cell in enumerate(cells) if cell >> u & 1), trace))
+
+    def depth(u: int):
+        while len(depths) <= u:
+            cells, k, _ = depths[-1]
+            split = _split_off(cells, k, len(depths) - 1)
+            add(*(cells, ()) if split is cells else _refine(g, split, [len(cells)]))
+        return depths[u]
+    add(*_refine(g, [(1 << g.n) - 1], [0]))
+    return depth
 
 
-def _individualize(g: Digraph, h: Digraph, cells: tuple[list[int], list[int]],
-                   u: int, w: int) -> tuple[list[int], list[int]] | None:
-    """The paired partition with u, and w on the h side, in a new paired
-    singleton cell, refined; w must lie in the cell paired with u's."""
-    cells_g, cells_h = cells
-    k = _cell_of(cells_g, u)
-    if cells_g[k] == 1 << u:
-        return cells  # a singleton pair is already individualized
-    cells_g, cells_h = cells_g + [1 << u], cells_h + [1 << w]
-    cells_g[k] ^= 1 << u
-    cells_h[k] ^= 1 << w
-    return _refine(g, h, cells_g, cells_h, [len(cells_g) - 1])
-
-
-def _extend(g: Digraph, h: Digraph, cells: tuple[list[int], list[int]] | None,
+def _extend(g: Digraph, h: Digraph, depth, cells: list[int] | None,
             u: int, budget) -> Permutation | None:
-    """The least isomorphism g -> h that respects the paired partition, or
-    None: it places u, u+1, ... (0..u-1 are singletons) and tries each one's
-    paired cell in ascending order, one node of budget a call.  Refinement
-    only drops images that no isomorphism uses, so the least map is found."""
+    """The least isomorphism g -> h that maps g's partition depth(u) onto h's
+    cells, cell by cell, or None.  It places u, u+1, ... in turn, trying u's
+    paired cell in ascending order, one node of budget a call; refinement only
+    drops images that no isomorphism uses.  A discrete partition is a map
+    (masks 1 << v sort by v), kept iff it keeps every arc."""
     if next(budget, None) is None:
         raise SizeLimitError(f"isomorphism search stopped after {MAX_SEARCH_NODES} nodes")
     if cells is None:
         return None
-    cells_g, cells_h = cells
-    if len(cells_g) == g.n:
-        return tuple(_cell_map(cells_g, cells_h))
-    for w in _bits_to_list(cells_h[_cell_of(cells_g, u)]):
-        if (found := _extend(g, h, _individualize(g, h, cells, u, w), u + 1, budget)) is not None:
+    cells_g, k, _ = depth(u)
+    if len(cells) == g.n:
+        mapping = [cell.bit_length() - 1 for _, cell in sorted(zip(cells_g, cells))]
+        if any(sum(1 << mapping[x] for x in _bits_to_list(g.adj[v])) != h.adj[w]
+               for v, w in enumerate(mapping)):
+            return None
+        return tuple(mapping)
+    trace = depth(u + 1)[2]
+    for w in _bits_to_list(cells[k]):
+        found = _extend(g, h, depth, _replay(h, _split_off(cells, k, w), trace), u + 1, budget)
+        if found is not None:
             return found
     return None
 
@@ -249,14 +271,13 @@ def is_automorphism(g: Digraph, p: Permutation) -> bool:
 
 
 def isomorphic(g: Digraph, h: Digraph) -> Permutation | None:
-    """A digraph isomorphism g -> h if one exists, else None.
-
-    Every returned witness is re-verified arc by arc before being handed out.
-    """
+    """A digraph isomorphism g -> h if one exists, else None; every witness
+    is re-verified arc by arc before it is returned."""
     if g.n != h.n:
         return None
-    cells = _refine(g, h, [(1 << g.n) - 1], [(1 << h.n) - 1], [0])
-    p = _extend(g, h, cells, 0, iter(range(MAX_SEARCH_NODES)))
+    depth = _chain(g)
+    cells = _replay(h, [(1 << h.n) - 1], depth(0)[2])
+    p = _extend(g, h, depth, cells, 0, iter(range(MAX_SEARCH_NODES)))
     if p is None:
         return None
     mapped = {(p[u], p[v]) for u, v in g.arcs()}
@@ -307,19 +328,17 @@ def automorphisms(g: Digraph, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
             f"automorphism enumeration capped at {cap} vertices, graph has {g.n}")
     n = g.n
     budget = iter(range(MAX_SEARCH_NODES))
-    # partitions[u]: the refined partition with 0..u-1 individualized
-    partitions = [_refine(g, g, [(1 << n) - 1], [(1 << n) - 1], [0])]
-    for u in range(n - 1):
-        partitions.append(_individualize(g, g, partitions[-1], u, u))
+    depth = _chain(g)
     generators: list[Permutation] = []
     levels = []
     order = 1
     for u in reversed(range(n)):
         reps = _walk(generators, {u: identity_perm(n)}, itemgetter(u))
-        cells = partitions[u]
-        for w in _bits_to_list(cells[1][_cell_of(cells[0], u)]):
+        cells, k, _ = depth(u)
+        for w in _bits_to_list(cells[k]):
             if w > u and w not in reps:
-                found = _extend(g, g, _individualize(g, g, cells, u, w), u + 1, budget)
+                found = _extend(g, g, depth, _replay(g, _split_off(cells, k, w), depth(u + 1)[2]),
+                                u + 1, budget)
                 if found is not None:
                     generators.append(found)
                     reps = _walk(generators, {u: identity_perm(n)}, itemgetter(u))

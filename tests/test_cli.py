@@ -452,3 +452,42 @@ class TestBadFlags:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "VTT_MEMBERS" in captured.err
+
+
+class TestParser:
+    COMMANDS = ("count", "classes", "verify", "recognize", "fixtures")
+
+    def exits(self, capsys, parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exc.value.code, captured.out, captured.err
+
+    def test_help_lists_every_command(self, capsys):
+        code, out, _ = self.exits(capsys, cli.main, ["--help"])
+        assert code == 0
+        assert all(command in out for command in self.COMMANDS)
+
+    def test_command_help(self, capsys):
+        code, out, _ = self.exits(capsys, cli.main, ["recognize", "--help"])
+        assert code == 0
+        assert "--aut-cap" in out
+
+    @pytest.mark.parametrize("argv", [["frobnicate"], ["count", "7", "--frobnicate"]])
+    def test_errors_name_every_command(self, capsys, argv):
+        code, out, err = self.exits(capsys, cli.main, argv)
+        assert code == 2
+        assert out == ""
+        assert "{" + ",".join(self.COMMANDS) + "}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["count", "--help"], ["classes", "--help"], ["verify", "-h"], ["recognize", "--help"],
+        ["fixtures", "--help"], ["count"], ["classes", "seven"], ["recognize", "--format", "xml"]])
+    def test_command_parser_is_the_full_parsers(self, capsys, argv):
+        # main builds the named command's parser alone: same help, same errors
+        assert self.exits(capsys, cli.main, argv) == \
+            self.exits(capsys, cli.build_parser().parse_args, argv)
+
+    def test_env_members_is_read_by_classes_only(self, capsys, monkeypatch):
+        monkeypatch.setenv("VTT_MEMBERS", "maybe")
+        assert run(capsys, "count", "7") == (0, "7\t2\n", "")

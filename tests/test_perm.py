@@ -4,13 +4,15 @@ import time
 import tracemalloc
 from itertools import permutations
 from operator import itemgetter
+from pathlib import Path
 
 import pytest
 
 from vtt.enumeration import SetMask, _orbit, equivalence_classes, unit_multiplier
 from vtt.errors import InconsistencyError, SizeLimitError
 from vtt.graphs import (
-    Digraph, cayley_digraph, cycle, k_cube, kneser, petersen, relabel, wreath_product)
+    Digraph, cayley_digraph, cycle, k_cube, kneser, parse_graph_text, petersen, relabel,
+    wreath_product)
 from vtt.groups import AbelianGroup, cyclic
 from vtt import cli, perm
 from vtt.perm import (
@@ -28,6 +30,7 @@ from vtt.perm import (
     perm_str,
 )
 
+GOLDEN = Path(__file__).parent / "golden"
 TRIANGLE = cayley_digraph(cyclic(3), {1})
 
 
@@ -131,6 +134,7 @@ class TestIsomorphic:
             density = rng.random()
             graphs.append(Digraph.from_arcs(n, [(u, v) for u in range(n) for v in range(n)
                                                 if u != v and rng.random() < density]))
+        pairs = []
         for g in graphs:
             images = list(range(g.n))
             rng.shuffle(images)
@@ -143,6 +147,18 @@ class TestIsomorphic:
                 if free:
                     arcs.remove((u, v))
                     h = Digraph.from_arcs(g.n, arcs + [rng.choice(free)])
+            pairs.append((g, h))
+        # circulants: refinement cannot split their vertices, so these pairs
+        # reach individualization, the replayed refinement and the arc check
+        for n in (4, 5, 6, 7, 8, 8):
+            degree = rng.randint(1, n - 2)
+            g = cayley_digraph(cyclic(n), set(rng.sample(range(1, n), degree)))
+            pairs.append((g, relabel(g, rng.sample(range(n), n))))
+            pairs.append((g, cayley_digraph(cyclic(n), set(rng.sample(range(1, n), degree)))))
+        # equitable down to discrete partitions that are no isomorphism: only the arc check refutes
+        pairs.append((cayley_digraph(cyclic(6), {1, 3}), cayley_digraph(cyclic(6), {2, 3})))
+        pairs.append((cayley_digraph(cyclic(8), {1, 2, 4}), cayley_digraph(cyclic(8), {1, 4, 6})))
+        for g, h in pairs:
             target = set(h.arcs())
             least = next((pi for pi in permutations(range(g.n))
                           if len(target) == len(g.arcs())
@@ -197,6 +213,19 @@ class TestAutomorphisms:
         aut = automorphisms(g)
         for w in range(5):
             assert tuple((v + w) % 5 for v in range(5)) in aut
+
+    @pytest.mark.parametrize("name, nodes", [
+        ("c4-c4", 84), ("c5-c3", 100), ("clebsch", 30), ("petersen", 8), ("q4", 13),
+        ("z7-tournament", 1)])
+    def test_search_tree_size(self, monkeypatch, name, nodes):
+        # the search visits exactly this many nodes (BENCH_16.json); a refinement
+        # that split cells in another order would change the tree
+        g = parse_graph_text((GOLDEN / f"{name}.graph").read_text())
+        monkeypatch.setattr(perm, "MAX_SEARCH_NODES", nodes)
+        automorphisms(g)
+        monkeypatch.setattr(perm, "MAX_SEARCH_NODES", nodes - 1)
+        with pytest.raises(SizeLimitError):
+            automorphisms(g)
 
     def test_cap(self):
         big = cycle(17)
