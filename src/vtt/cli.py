@@ -175,7 +175,7 @@ def cmd_recognize(args) -> int:
         sys.stdout.write(graphs.to_dot(g))
         return EXIT_OK
     aut = perm.automorphisms(g, cap=args.aut_cap)
-    transitive = len(perm.orbits(aut, g.n)) == 1
+    transitive = len(aut.levels[0]) == g.n  # 0's orbit under Aut(g) is every vertex
     regular = perm.find_regular_subgroup(aut, g.n)
     if args.format == "json":
         witness = [list(p) for p in regular] if regular is not None else None

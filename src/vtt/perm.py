@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from operator import eq, itemgetter
 
 from .errors import InconsistencyError, SizeLimitError
-from .graphs import Digraph, _bits_to_list
+from .graphs import Digraph, _bits_to_list, relabel
 
 Permutation = tuple[int, ...]
 
@@ -244,18 +244,15 @@ def _extend(g: Digraph, h: Digraph, depth, cells: list[int] | None,
     cells, cell by cell, or None.  It places u, u+1, ... in turn, trying u's
     paired cell in ascending order, one node of budget a call; refinement only
     drops images that no isomorphism uses.  A discrete partition is a map
-    (masks 1 << v sort by v), kept iff it keeps every arc."""
+    (masks 1 << v sort by v), kept iff `relabel` takes g's adjacency to h's."""
     if next(budget, None) is None:
         raise SizeLimitError(f"isomorphism search stopped after {MAX_SEARCH_NODES} nodes")
     if cells is None:
         return None
     cells_g, k, _ = depth(u)
     if len(cells) == g.n:
-        mapping = [cell.bit_length() - 1 for _, cell in sorted(zip(cells_g, cells))]
-        if any(sum(1 << mapping[x] for x in _bits_to_list(g.adj[v])) != h.adj[w]
-               for v, w in enumerate(mapping)):
-            return None
-        return tuple(mapping)
+        mapping = tuple(cell.bit_length() - 1 for _, cell in sorted(zip(cells_g, cells)))
+        return mapping if relabel(g, mapping).adj == h.adj else None
     trace = depth(u + 1)[2]
     for w in _bits_to_list(cells[k]):
         found = _extend(g, h, depth, _replay(h, _split_off(cells, k, w), trace), u + 1, budget)
@@ -264,24 +261,27 @@ def _extend(g: Digraph, h: Digraph, depth, cells: list[int] | None,
     return None
 
 
+def _maps_arcs(g: Digraph, h: Digraph, p: Permutation) -> bool:
+    """True iff p permutes g's vertices, g and h have as many arcs, and each
+    arc u -> w of g has its image p[u] -> p[w] in h: p maps g's arcs onto h's."""
+    return (sorted(p) == list(range(g.n))
+            and sum(map(int.bit_count, g.adj)) == sum(map(int.bit_count, h.adj))
+            and all(h.adj[p[u]] >> p[w] & 1 for u in range(g.n) for w in _bits_to_list(g.adj[u])))
+
+
 def is_automorphism(g: Digraph, p: Permutation) -> bool:
-    if sorted(p) != list(range(g.n)):
-        return False
-    return all(g.has_arc(p[u], p[v]) for u, v in g.arcs())
+    return _maps_arcs(g, g, p)
 
 
 def isomorphic(g: Digraph, h: Digraph) -> Permutation | None:
     """A digraph isomorphism g -> h if one exists, else None; every witness
-    is re-verified arc by arc before it is returned."""
+    is re-verified row by row, with the arc counts, before it is returned."""
     if g.n != h.n:
         return None
     depth = _chain(g)
     cells = _replay(h, [(1 << h.n) - 1], depth(0)[2])
     p = _extend(g, h, depth, cells, 0, iter(range(MAX_SEARCH_NODES)))
-    if p is None:
-        return None
-    mapped = {(p[u], p[v]) for u, v in g.arcs()}
-    if mapped != set(h.arcs()):
+    if p is not None and not _maps_arcs(g, h, p):
         raise InconsistencyError("isomorphism witness failed arc-by-arc verification")
     return p
 

@@ -198,6 +198,16 @@ class TestIsomorphic:
         pi = isomorphic(g, h)
         assert {(pi[u], pi[v]) for u, v in g.arcs()} == set(h.arcs())
 
+    @pytest.mark.parametrize("g, h, p", [
+        (Digraph.from_arcs(3, [(0, 1), (1, 2)]), Digraph.from_arcs(3, [(0, 1), (1, 2)]), (2, 1, 0)),
+        # each arc of g maps onto an arc of h, but h has one more
+        (Digraph.from_arcs(3, [(0, 1)]), Digraph.from_arcs(3, [(0, 1), (1, 2)]), (0, 1, 2)),
+    ], ids=["arc-not-kept", "arc-counts-differ"])
+    def test_witness_is_verified(self, monkeypatch, g, h, p):
+        monkeypatch.setattr(perm, "_extend", lambda *args: p)
+        with pytest.raises(InconsistencyError, match="verification"):
+            isomorphic(g, h)
+
 
 class TestAutomorphisms:
     def test_directed_triangle_has_rotations_only(self):
@@ -473,6 +483,21 @@ class TestRegularSubgroup:
         assert len(aut) == 77_760
         assert blocks == [list(range(15))]
         assert len(reg) == 15
+
+    def test_isomorphism_keeps_no_arc_list(self):
+        # Cay(Z_307, S) has 46,971 arcs; a set of them as tuples takes about 10 MB
+        p = 307
+        rng = random.Random(p)
+        g = circulant_tournament(p, rng.getrandbits((p - 1) // 2))
+        h = relabel(g, rng.sample(range(p), p))
+        tracemalloc.start()
+        try:
+            pi = isomorphic(g, h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert relabel(g, pi) == h
 
     def test_relabelled_circulant_tournament_of_order_1009(self):
         p = 1009
