@@ -15,6 +15,7 @@ from vtt.graphs import (
     wreath_product)
 from vtt.groups import AbelianGroup, cyclic
 from vtt import cli, perm
+from vtt.fixtures import Z25_SET
 from vtt.perm import (
     PermGroup,
     automorphisms,
@@ -188,6 +189,31 @@ class TestIsomorphic:
             isomorphic(g, h)
         with pytest.raises(SizeLimitError, match="5 nodes"):
             automorphisms(g)
+
+    @pytest.mark.parametrize("name, nodes", [
+        ("c4-c4", 15), ("c5-c3", 15), ("clebsch", 10), ("petersen", 4), ("q4", 6),
+        ("z7-tournament", 2), ("fixture-a", 23)])
+    def test_search_tree_size(self, monkeypatch, name, nodes):
+        # the search visits exactly this many nodes; a search that placed
+        # vertices or tried images in another order would change the tree
+        if name == "fixture-a":
+            g, h = wreath_product(cycle(5), cycle(5)), cayley_digraph(cyclic(25), Z25_SET)
+        else:
+            g = parse_graph_text((GOLDEN / f"{name}.graph").read_text())
+            images = list(range(g.n))
+            random.Random(name).shuffle(images)
+            h = relabel(g, images)
+        monkeypatch.setattr(perm, "MAX_SEARCH_NODES", nodes)
+        assert isomorphic(g, h) is not None
+        monkeypatch.setattr(perm, "MAX_SEARCH_NODES", nodes - 1)
+        with pytest.raises(SizeLimitError):
+            isomorphic(g, h)
+
+    def test_deep_search_does_not_recurse(self):
+        # refinement never splits the empty graph, so the search individualizes
+        # one vertex per depth, 1,200 deep
+        empty = Digraph.from_arcs(1200, [])
+        assert isomorphic(empty, empty) == identity_perm(1200)
 
     def test_witness_maps_arcs_exactly(self):
         g = petersen()
