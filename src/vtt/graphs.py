@@ -59,9 +59,6 @@ class Digraph:
                 w ^= low
         return tuple(pred)
 
-    def has_arc(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs sorted lexicographically."""
         return [(u, w) for u in range(self.n) for w in _bits_to_list(self.adj[u])]

@@ -3,14 +3,14 @@ Cayley recognition.
 
 Groups grow by one breadth-first walk over generator products composed in C,
 `_walk`: one product per key value, or, semiregular, until a product shows the
-group is not.  One search finds the least isomorphism g -> h that respects a
-paired vertex partition.  Colour refinement (McKay & Piperno 2014) splits g's
-cells by out- and in-neighbour counts in each other cell until equitable, once
-per depth of the search, which places vertices in ascending order,
-individualizes each with its images in turn, ascending, and replays g's splits
-on h.  `isomorphic` runs it from one cell.  `automorphisms` builds a stabilizer
-chain along the base 0..n-1 (Sims 1970) with one such search per candidate
-coset representative and `_walk` transversals.  A `PermGroup` is that chain:
+group is not.  `_search`, depth first on an explicit stack, yields the least
+isomorphisms g -> h that respect paired vertex partitions: colour refinement
+(McKay & Piperno 2014) splits g's cells by out- and in-neighbour counts in each
+other cell until equitable, once per depth; vertices are individualized in
+ascending order, each with its images ascending, and g's splits replayed on h.
+`isomorphic` searches from one root.  `automorphisms` builds a stabilizer chain
+along the base 0..n-1 (Sims 1970) below the first discrete partition, with
+`_walk` transversals and one search per level.  A `PermGroup` is that chain:
 its order is the product of the basic orbit lengths, and `_products` walks its
 elements lazily.  Results are deterministic.
 """
@@ -30,7 +30,7 @@ DEFAULT_AUT_CAP = 16
 # Largest automorphism group order admitted (C5[C3] has 77,760): the regular-
 # subgroup search walks cosets of G_1, of 15! elements for the empty 16-vertex graph.
 MAX_AUT_ELEMENTS = 100_000
-# Most `_extend` calls one `isomorphic` or `automorphisms` call may make; the
+# Most search nodes one `isomorphic` or `automorphisms` call may visit; the
 # golden, benchmark and 1009-vertex test searches peak at 100 (BENCH_16.json).
 MAX_SEARCH_NODES = 10_000
 
@@ -76,10 +76,7 @@ def fixed_points(p: Permutation) -> int:
 
 
 def perm_str(p: Permutation) -> str:
-    cycles = perm_cycles(p)
-    if not cycles:
-        return "()"
-    return "".join("(" + " ".join(str(v) for v in c) + ")" for c in cycles)
+    return "".join("(" + " ".join(map(str, c)) + ")" for c in perm_cycles(p)) or "()"
 
 
 @dataclass(frozen=True)
@@ -238,27 +235,35 @@ def _chain(g: Digraph):
     return depth
 
 
-def _extend(g: Digraph, h: Digraph, depth, cells: list[int] | None,
-            u: int, budget) -> Permutation | None:
-    """The least isomorphism g -> h that maps g's partition depth(u) onto h's
-    cells, cell by cell, or None.  It places u, u+1, ... in turn, trying u's
-    paired cell in ascending order, one node of budget a call; refinement only
-    drops images that no isomorphism uses.  A discrete partition is a map
+def _children(h: Digraph, cells: list[int], k: int, images, trace):
+    """h's partitions with each image in turn split off cell k, g's trace replayed, or None."""
+    return (_replay(h, _split_off(cells, k, w), trace) for w in images)
+
+
+def _search(g: Digraph, h: Digraph, depth, u: int, roots, budget):
+    """Root by root, the least isomorphism g -> h, if any, that maps g's
+    partition depth(u) onto the root, h's, cell by cell: depth first on a stack
+    of `_children`, one node of budget per partition.  A discrete one is a map
     (masks 1 << v sort by v), kept iff `relabel` takes g's adjacency to h's."""
-    if next(budget, None) is None:
-        raise SizeLimitError(f"isomorphism search stopped after {MAX_SEARCH_NODES} nodes")
-    if cells is None:
-        return None
-    cells_g, k, _ = depth(u)
-    if len(cells) == g.n:
-        mapping = tuple(cell.bit_length() - 1 for _, cell in sorted(zip(cells_g, cells)))
-        return mapping if relabel(g, mapping).adj == h.adj else None
-    trace = depth(u + 1)[2]
-    for w in _bits_to_list(cells[k]):
-        found = _extend(g, h, depth, _replay(h, _split_off(cells, k, w), trace), u + 1, budget)
-        if found is not None:
-            return found
-    return None
+    stack = [iter(roots)]
+    while stack:
+        for cells in stack[-1]:
+            if next(budget, None) is None:
+                raise SizeLimitError(f"isomorphism search stopped after {MAX_SEARCH_NODES} nodes")
+            if cells is None:
+                continue
+            v = u + len(stack) - 1
+            cells_g, k, _ = depth(v)
+            if len(cells) < g.n:
+                stack.append(_children(h, cells, k, _bits_to_list(cells[k]), depth(v + 1)[2]))
+                break
+            mapping = tuple(cell.bit_length() - 1 for _, cell in sorted(zip(cells_g, cells)))
+            if relabel(g, mapping).adj == h.adj:
+                yield mapping
+                del stack[1:]
+                break
+        else:
+            stack.pop()
 
 
 def _maps_arcs(g: Digraph, h: Digraph, p: Permutation) -> bool:
@@ -279,8 +284,8 @@ def isomorphic(g: Digraph, h: Digraph) -> Permutation | None:
     if g.n != h.n:
         return None
     depth = _chain(g)
-    cells = _replay(h, [(1 << h.n) - 1], depth(0)[2])
-    p = _extend(g, h, depth, cells, 0, iter(range(MAX_SEARCH_NODES)))
+    root = _replay(h, [(1 << h.n) - 1], depth(0)[2])
+    p = next(_search(g, h, depth, 0, [root], iter(range(MAX_SEARCH_NODES))), None)
     if p is not None and not _maps_arcs(g, h, p):
         raise InconsistencyError("isomorphism witness failed arc-by-arc verification")
     return p
@@ -315,13 +320,11 @@ def _walk(generators: list[Permutation], found: dict, key,
 def automorphisms(g: Digraph, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
     """All arc-preserving permutations of g, as a stabilizer chain.
 
-    The chain is built along the base 0..n-1, from u = n-1 down to 0.  Level
-    u keeps a transversal of G_u, the automorphisms fixing 0..u-1, over
-    G_(u+1): one element of G_u taking u to each vertex of u's orbit.  Each
-    candidate w, in u's cell once 0..u-1 are individualized and outside the
-    orbit reached so far, costs one search with 0..u-1 fixed and u -> w; a
-    hit is a new generator.  |G_u| is the product of the transversal lengths
-    from u up, so MAX_AUT_ELEMENTS is checked against it at every level.
+    Level u keeps a transversal of G_u, the automorphisms fixing 0..u-1, over
+    G_(u+1): one element taking u to each vertex of u's orbit.  Levels from the
+    first discrete partition on are trivial; below it, level u's search roots
+    are u's cell with u -> w for each w outside the orbit reached so far.
+    MAX_AUT_ELEMENTS bounds |G_u|, the level sizes' product from u up.
     """
     if g.n > cap:
         raise SizeLimitError(
@@ -329,25 +332,24 @@ def automorphisms(g: Digraph, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
     n = g.n
     budget = iter(range(MAX_SEARCH_NODES))
     depth = _chain(g)
+    ident = identity_perm(n)
+    levels = [{u: ident} for u in range(n)]
     generators: list[Permutation] = []
-    levels = []
     order = 1
-    for u in reversed(range(n)):
-        reps = _walk(generators, {u: identity_perm(n)}, itemgetter(u))
+    for u in reversed(range(next(d for d in range(n) if len(depth(d)[0]) == n))):
+        reps = _walk(generators, {u: ident}, itemgetter(u))
         cells, k, _ = depth(u)
-        for w in _bits_to_list(cells[k]):
-            if w > u and w not in reps:
-                found = _extend(g, g, depth, _replay(g, _split_off(cells, k, w), depth(u + 1)[2]),
-                                u + 1, budget)
-                if found is not None:
-                    generators.append(found)
-                    reps = _walk(generators, {u: identity_perm(n)}, itemgetter(u))
+        images = (w for w in _bits_to_list(cells[k]) if w not in reps)  # reps as it grows
+        for found in _search(g, g, depth, u + 1, _children(g, cells, k, images, depth(u + 1)[2]),
+                             budget):
+            generators.append(found)
+            reps = _walk(generators, {u: ident}, itemgetter(u))
         order *= len(reps)
         if order > MAX_AUT_ELEMENTS:
             raise SizeLimitError(
                 f"more than {MAX_AUT_ELEMENTS} automorphisms, enumeration stopped")
-        levels.append(reps)
-    return PermGroup(n, tuple(reversed(levels)))
+        levels[u] = reps
+    return PermGroup(n, tuple(levels))
 
 
 def orbits(group: PermGroup, n: int) -> list[list[int]]:

@@ -144,7 +144,7 @@ class TestIsomorphic:
             if arcs and rng.random() < 0.5:  # move one arc: same arc count, maybe not isomorphic
                 u, v = rng.choice(arcs)
                 free = [(a, b) for a in range(g.n) for b in range(g.n)
-                        if a != b and not h.has_arc(a, b)]
+                        if a != b and not h.adj[a] >> b & 1]
                 if free:
                     arcs.remove((u, v))
                     h = Digraph.from_arcs(g.n, arcs + [rng.choice(free)])
@@ -230,7 +230,7 @@ class TestIsomorphic:
         (Digraph.from_arcs(3, [(0, 1)]), Digraph.from_arcs(3, [(0, 1), (1, 2)]), (0, 1, 2)),
     ], ids=["arc-not-kept", "arc-counts-differ"])
     def test_witness_is_verified(self, monkeypatch, g, h, p):
-        monkeypatch.setattr(perm, "_extend", lambda *args: p)
+        monkeypatch.setattr(perm, "_search", lambda *args: iter([p]))
         with pytest.raises(InconsistencyError, match="verification"):
             isomorphic(g, h)
 
@@ -262,6 +262,18 @@ class TestAutomorphisms:
         monkeypatch.setattr(perm, "MAX_SEARCH_NODES", nodes - 1)
         with pytest.raises(SizeLimitError):
             automorphisms(g)
+
+    @pytest.mark.parametrize("name", ["c4-c4", "c5-c3", "clebsch", "petersen", "q4",
+                                      "z7-tournament"])
+    def test_chain_stops_at_the_first_discrete_partition(self, monkeypatch, name):
+        # every level from there on is trivial, so no deeper partition is refined
+        g = parse_graph_text((GOLDEN / f"{name}.graph").read_text())
+        depth = perm._chain(g)
+        first = next(u for u in range(g.n) if len(depth(u)[0]) == g.n)
+        asked = []
+        monkeypatch.setattr(perm, "_chain", lambda g: lambda u: asked.append(u) or depth(u))
+        automorphisms(g)
+        assert max(asked) == first
 
     def test_cap(self):
         big = cycle(17)
