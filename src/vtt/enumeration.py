@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cache
+from itertools import repeat
 
 from .errors import InconsistencyError, SizeLimitError
-from .groups import is_prime, mult_order, units
+from .groups import is_prime, prime_factors, primitive_root, units
 
 DEFAULT_BUDGET_BITS = 26
 
@@ -142,9 +144,10 @@ def _act_table(p: int, a: int) -> tuple[list[int], list[int], int]:
 
 @cache
 def _generator_table(p: int) -> tuple[list[int], list[int], int]:
-    """A primitive root's act tables, each entry x folded to its key min(x, x ^ ones)."""
+    """The act tables of p's smallest primitive root, each entry x folded to
+    its key min(x, x ^ ones)."""
     ones = (1 << (p - 1) // 2) - 1
-    low, high, w = _act_table(p, next(a for a in units(p) if mult_order(a, p) == p - 1))
+    low, high, w = _act_table(p, primitive_root(p))
     return [min(x, x ^ ones) for x in low], [min(x, x ^ ones) for x in high], w
 
 
@@ -272,20 +275,19 @@ def burnside_count(p: int) -> int:
 
     A unit of even order fixes nothing (its cyclic subgroup contains -1);
     a unit of odd order d fixes exactly 2^((p-1)/(2d)) sets.  The units are
-    walked as the powers of a primitive root g; g^k has order (p-1)/gcd(k, p-1).
+    the powers g^k, k in 0..p-2, of a primitive root g, and g^k has order
+    (p-1)/gcd(k, p-1), so each exponent is counted once under its gcd.  g is
+    checked to generate Z_p^*: g^((p-1)/q) != 1 for every prime q | p - 1.
     """
     if not _is_odd_prime(p):
         raise ValueError(f"{p} is not an odd prime")
-    g = next(a for a in units(p) if mult_order(a, p) == p - 1)
-    total, x = 0, 1
-    for k in range(p - 1):
-        d = (p - 1) // math.gcd(k, p - 1)
-        if d % 2 == 1:
-            total += 1 << ((p - 1) // (2 * d))
-        x = x * g % p
-        # the powers are distinct units up to their first return to 1
-        if (x == 1) != (k == p - 2):
-            raise InconsistencyError(f"the powers of {g} mod {p} do not cycle through Z_{p}^*")
+    g = primitive_root(p)
+    if any(pow(g, (p - 1) // q, p) == 1 for q in prime_factors(p - 1)):
+        raise InconsistencyError(f"the powers of {g} mod {p} do not cycle through Z_{p}^*")
+    total = 0
+    for c, count in Counter(map(math.gcd, range(p - 1), repeat(p - 1))).items():
+        if (p - 1) // c % 2 == 1:  # g^k of odd order d = (p-1)/c fixes 2^(c/2) sets
+            total += count << c // 2
     if total % (p - 1):
         raise InconsistencyError(
             f"fixed-set total {total} is not divisible by {p - 1}")

@@ -74,20 +74,33 @@ def _bits_to_list(bits: int) -> list[int]:
 
 
 def cayley_digraph(group: AbelianGroup, s) -> Digraph:
-    """Digraph on the group's elements with an arc g -> h iff h - g is in s."""
+    """Digraph on the group's elements with an arc g -> h iff h - g is in s.
+
+    The identity's row is one mask, and every other row is a translate of it.
+    Adding 1 to coordinate j turns each aligned block of m_j * w_j bits by
+    w_j bits, w_j the product of the later moduli, so the rows come in rank
+    order, coordinate by coordinate, from one rotation each.
+    """
     members = frozenset(group.coerce(x) for x in s)
     if group.identity in members:
         raise ValueError("invalid connection set: contains the identity")
-    elems = group.elements()
-    rank = {g: i for i, g in enumerate(elems)}
-    moduli = group.moduli
-    adj = []
-    for g in elems:
-        bits = 0
-        for step in members:
-            bits |= 1 << rank[tuple((a + b) % m for a, b, m in zip(g, step, moduli))]
-        adj.append(bits)
-    return Digraph(len(elems), tuple(adj))
+    n = group.order
+    rows = [sum(1 << group.index(x) for x in members)]
+    w = n
+    for m in group.moduli:
+        w //= m
+        block = m * w
+        # the top w bits of every block, which wrap to its bottom
+        wrap = ((1 << w) - 1 << block - w) * ((1 << n) - 1) // ((1 << block) - 1)
+        keep = (1 << n) - 1 ^ wrap
+        turned = []
+        for row in rows:
+            turned.append(row)
+            for _ in range(m - 1):
+                row = (row & keep) << w | (row & wrap) >> block - w
+                turned.append(row)
+        rows = turned
+    return Digraph(n, tuple(rows))
 
 
 def validate_tournament_set(group: AbelianGroup, s) -> bool:

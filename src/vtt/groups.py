@@ -2,8 +2,9 @@
 
 Covers everything the rest of the package needs from algebra: cyclic groups
 and direct products with elements stored as residue tuples, unit groups mod n,
-multiplicative orders and divisor lists.  All functions are exact and deterministic; sets are returned in
-sorted order so downstream output is reproducible.
+multiplicative orders, primitive roots, prime factors and divisor lists.  All
+functions are exact and deterministic; sets are returned in sorted order so
+downstream output is reproducible.
 """
 
 from __future__ import annotations
@@ -49,6 +50,16 @@ def divisors(r: int) -> list[int]:
     return sorted(divs)
 
 
+def prime_factors(r: int) -> list[int]:
+    """The distinct primes dividing r >= 1, ascending: the divisors of r
+    above 1 that no smaller one of them divides."""
+    factors: list[int] = []
+    for d in divisors(r)[1:]:
+        if all(d % q for q in factors):
+            factors.append(d)
+    return factors
+
+
 def units(n: int) -> list[int]:
     """Sorted list of residues in [1, n) coprime to n."""
     if n < 2:
@@ -66,6 +77,16 @@ def mult_order(a: int, n: int) -> int:
         x = x * a % n
         t += 1
     return t
+
+
+def primitive_root(p: int) -> int:
+    """The smallest generator of Z_p^* for a prime p: the least a with
+    a^((p-1)/q) != 1 (mod p) for every prime q dividing p - 1."""
+    if p < 2:
+        raise ValueError(f"primitive_root requires a prime, got {p}")
+    factors = prime_factors(p - 1)
+    return next(a for a in range(1, p)
+                if all(pow(a, (p - 1) // q, p) != 1 for q in factors))
 
 
 @dataclass(frozen=True)

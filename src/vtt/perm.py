@@ -235,6 +235,14 @@ def _chain(g: Digraph):
     return depth
 
 
+def _ascending_bits(bits: int):
+    """The set bits of bits, lowest first, found one at a time."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
 def _children(h: Digraph, cells: list[int], k: int, images, trace):
     """h's partitions with each image in turn split off cell k, g's trace replayed, or None."""
     return (_replay(h, _split_off(cells, k, w), trace) for w in images)
@@ -244,7 +252,8 @@ def _search(g: Digraph, h: Digraph, depth, u: int, roots, budget):
     """Root by root, the least isomorphism g -> h, if any, that maps g's
     partition depth(u) onto the root, h's, cell by cell: depth first on a stack
     of `_children`, one node of budget per partition.  A discrete one is a map
-    (masks 1 << v sort by v), kept iff `relabel` takes g's adjacency to h's."""
+    (masks 1 << v sort by v), kept iff `relabel` takes g's adjacency to h's.
+    A frame reads its cell when pushed and finds its images one at a time."""
     stack = [iter(roots)]
     while stack:
         for cells in stack[-1]:
@@ -255,7 +264,7 @@ def _search(g: Digraph, h: Digraph, depth, u: int, roots, budget):
             v = u + len(stack) - 1
             cells_g, k, _ = depth(v)
             if len(cells) < g.n:
-                stack.append(_children(h, cells, k, _bits_to_list(cells[k]), depth(v + 1)[2]))
+                stack.append(_children(h, cells, k, _ascending_bits(cells[k]), depth(v + 1)[2]))
                 break
             mapping = tuple(cell.bit_length() - 1 for _, cell in sorted(zip(cells_g, cells)))
             if relabel(g, mapping).adj == h.adj:

@@ -260,13 +260,13 @@ class TestBurnsideCount:
         assert burnside_count(p) == equivalence_classes(p).count
 
     def test_walk_must_cover_the_units(self, monkeypatch):
-        # with 1 taken for a primitive root the walk returns to 1 at once
-        monkeypatch.setattr(enumeration, "mult_order", lambda a, p: p - 1)
+        # 1 taken for a primitive root fails the generator certificate
+        monkeypatch.setattr(enumeration, "primitive_root", lambda p: 1)
         with pytest.raises(InconsistencyError, match="powers of 1"):
             burnside_count(11)
 
     def test_agrees_with_formula(self):
-        primes = [p for p in range(3, 1010) if groups.is_prime(p)]
+        primes = [p for p in range(3, 1010) if groups.is_prime(p)] + [4139, 28597, 100003]
         assert [burnside_count(p) for p in primes] == [class_count(p) for p in primes]
 
 

@@ -77,7 +77,8 @@ def per_arc_cayley_digraph(group, s):
     return Digraph(group.order, tuple(adj))
 
 
-@pytest.mark.parametrize("moduli", [(25,), (3, 3), (2, 2, 2, 2), (4, 4), (5, 3)])
+@pytest.mark.parametrize("moduli", [(2,), (7,), (25,), (3, 3), (2, 2, 2, 2), (4, 4), (5, 3),
+                                    (2, 3, 5), (3, 2, 4), (4, 2, 2)])
 def test_cayley_matches_per_arc_construction(moduli):
     group = AbelianGroup(moduli)
     rng = random.Random(sum(moduli))

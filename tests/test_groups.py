@@ -8,6 +8,8 @@ from vtt.groups import (
     divisors,
     is_prime,
     mult_order,
+    prime_factors,
+    primitive_root,
     units,
 )
 
@@ -44,6 +46,12 @@ def test_order_divides_unit_group_order(n):
         assert count % mult_order(a, n) == 0
 
 
+def test_primitive_root_is_the_smallest_generator():
+    for p in range(3, 5000):
+        if is_prime(p):
+            assert primitive_root(p) == next(a for a in units(p) if mult_order(a, p) == p - 1)
+
+
 def test_divisors():
     assert divisors(1) == [1]
     assert divisors(165) == [1, 3, 5, 11, 15, 33, 55, 165]
@@ -55,6 +63,15 @@ def test_divisors():
         assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0]
     with pytest.raises(ValueError):
         divisors(0)
+
+
+def test_prime_factors():
+    assert prime_factors(1) == []
+    assert prime_factors(100002) == [2, 3, 7, 2381]
+    for n in range(1, 2001):
+        assert prime_factors(n) == [d for d in divisors(n) if is_prime(d)]
+    with pytest.raises(ValueError):
+        prime_factors(0)
 
 
 def test_is_prime():
