@@ -143,8 +143,7 @@ def cmd_count(args) -> int:
 def cmd_classes(args) -> int:
     report = enumeration.equivalence_classes(
         args.prime, include_members=args.members, budget_bits=args.budget_bits)
-    for line in report.json_lines():
-        print(line)
+    sys.stdout.writelines(line + "\n" for line in report.json_lines())
     return EXIT_OK
 
 
@@ -170,10 +169,10 @@ def cmd_recognize(args) -> int:
         text = Path(args.file).read_text()
     except OSError as exc:
         raise ValueError(f"cannot read {args.file}: {exc}")
-    g = graphs.parse_graph_text(text, None if args.format == "dot" else args.aut_cap)
     if args.format == "dot":
-        sys.stdout.write(graphs.to_dot(g))
+        sys.stdout.write(graphs.dot_from_text(text))
         return EXIT_OK
+    g = graphs.parse_graph_text(text, args.aut_cap)
     aut = perm.automorphisms(g, cap=args.aut_cap)
     transitive = len(aut.levels[0]) == g.n  # 0's orbit under Aut(g) is every vertex
     regular = perm.find_regular_subgroup(aut, g.n)

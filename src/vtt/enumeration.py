@@ -9,8 +9,12 @@ flips every bit: classes are closed under complement.  The walk runs on keys,
 masks with the top bit clear that stand for themselves and their complements;
 the fold to keys is linear, so a key steps by two table lookups.  With one
 visited byte per key and each class's smallest mask and size kept, it needs
-about 0.7 bytes per mask; members are walked again on demand.  Burnside's
-count is a second, independent oracle.
+about 0.7 bytes per mask; members are walked again on demand.  A listing
+line spells a mask's members by three lookups in tables built once per p,
+keyed by the low and the high half of the choice bits: the low half's
+members below p/2, the high half's members, then the low half's members
+above p/2, which is ascending order.  Burnside's count is a second,
+independent oracle.
 """
 
 from __future__ import annotations
@@ -28,8 +32,6 @@ from .groups import is_prime, prime_factors, primitive_root, units
 
 DEFAULT_BUDGET_BITS = 26
 
-_CHUNK_BITS = 8
-
 
 @cache
 def _is_odd_prime(p: int) -> bool:
@@ -37,30 +39,30 @@ def _is_odd_prime(p: int) -> bool:
 
 
 @cache
-def _member_chunks(p: int) -> list[tuple[list[str], list[str]]]:
-    """Per 8-bit chunk of a mask, indexed by the chunk's value: its members
-    below p/2 and its members above p/2, each as ascending comma-separated text."""
-    half = (p - 1) // 2
-    chunks = []
-    for lo in range(0, half, _CHUNK_BITS):
-        choices = range(lo + 1, min(lo + _CHUNK_BITS, half) + 1)
-        values = range(1 << len(choices))
-        chunks.append((
-            [",".join(str(i) for i in choices if v >> (i - 1 - lo) & 1) for v in values],
-            [",".join(str(p - i) for i in reversed(choices) if not v >> (i - 1 - lo) & 1)
-             for v in values]))
-    return chunks
+def _member_texts(p: int) -> tuple[list[str], list[str], list[str]]:
+    """Tables (below, high, above) that spell a mask's members, ascending, as
+    the items of a JSON list: below[lo] + high[hi] + above[lo], where lo is
+    the mask's low a = h//2 choice bits and hi the other h - a, h = (p-1)/2.
 
-
-def _members_text(p: int, bits: int) -> str:
-    """The members of mask bits, ascending, as the items of a JSON list: those
-    below p/2 chunk by chunk upwards, then those above p/2 downwards."""
-    below, above = [], []
-    for low_text, high_text in _member_chunks(p):
-        below.append(low_text[bits & 0xFF])
-        above.append(high_text[bits & 0xFF])
-        bits >>= _CHUNK_BITS
-    return ",".join(filter(None, below + above[::-1]))
+    below[lo] holds lo's members under p/2, each followed by a comma, and
+    above[lo] its members over p/2, each preceded by one; high[hi] holds every
+    member of the top choices, at least one.  Each table has at most 2^(h-a)
+    entries, about the square root of the walk's visited array.
+    """
+    h = (p - 1) // 2
+    a = h // 2
+    # choice i, as a new top bit, doubles a table: i is the largest member
+    # under p/2 so far and p - i the smallest over it
+    below, above = [""], [""]
+    for i in range(1, a + 1):
+        below += [t + f"{i}," for t in below]
+        above = [f",{p - i}" + t for t in above] + above
+    # high takes its choices downwards, each as a new bottom bit: i is the
+    # smallest member under p/2 so far and p - i the largest over it
+    high = [str(p - h), str(h)]
+    for i in range(h - 1, a, -1):
+        high = [s for t in high for s in (f"{t},{p - i}", f"{i},{t}")]
+    return below, high, above
 
 
 @dataclass(frozen=True)
@@ -231,13 +233,17 @@ class ClassReport:
 
     def json_lines(self) -> Iterator[str]:
         """One compact JSON line per class, produced as it is iterated."""
-        p = self.p
+        p, a, listed = self.p, (self.p - 1) // 4, self.listed
+        below, high, above = _member_texts(p)
+        m = (1 << a) - 1
+        head = f'{{"p":{p},"rep":['
+        members = ""
         for rep, size in zip(self.reps, self.orbit_sizes):
-            line = f'{{"p":{p},"rep":[{_members_text(p, rep)}],"size":{size}'
-            if self.listed:
-                members = "],[".join(_members_text(p, b) for b in sorted(_orbit(p, rep)))
-                line += f',"members":[[{members}]]'
-            yield line + "}"
+            if listed:
+                members = ',"members":[[' + "],[".join(
+                    below[b & m] + high[b >> a] + above[b & m] for b in sorted(_orbit(p, rep))) + "]]"
+            lo = rep & m
+            yield f'{head}{below[lo]}{high[rep >> a]}{above[lo]}],"size":{size}{members}}}'
 
 
 def equivalence_classes(p: int, include_members: bool = False,

@@ -10,6 +10,7 @@ directed-triangle profile used as an isomorphism invariant.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -222,11 +223,23 @@ def relabel(g: Digraph, images) -> Digraph:
     return Digraph(g.n, tuple(adj))
 
 
+def _dot(arcs) -> str:
+    return "digraph G {\n" + "".join(f"  {u} -> {v};\n" for u, v in arcs) + "}\n"
+
+
 def to_dot(g: Digraph) -> str:
-    lines = ["digraph G {"]
-    lines += [f"  {u} -> {v};" for u, v in g.arcs()]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot(g.arcs())
+
+
+def dot_from_text(text: str) -> str:
+    """The DOT export of a graph file, as `to_dot(parse_graph_text(text))` has it.
+
+    Each arc is checked as it is read and kept as a pair, so memory follows
+    the file and not the vertex count in its header; nothing is returned
+    unless every line checks.
+    """
+    _, arcs = _read_graph_text(text)
+    return _dot(sorted(set(arcs)))
 
 
 def parse_graph_text(text: str, max_vertices: int | None = None) -> Digraph:
@@ -236,6 +249,13 @@ def parse_graph_text(text: str, max_vertices: int | None = None) -> Digraph:
     naming more than `max_vertices` vertices raises SizeLimitError before the
     graph is built.
     """
+    return Digraph.from_arcs(*_read_graph_text(text, max_vertices))
+
+
+def _read_graph_text(text: str, max_vertices: int | None = None
+                     ) -> tuple[int, Iterator[tuple[int, int]]]:
+    """The header's vertex count, checked against max_vertices, and an iterator
+    over the arcs, each checked to be in range and not a loop as it is read."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty graph file")
@@ -246,18 +266,25 @@ def parse_graph_text(text: str, max_vertices: int | None = None) -> Digraph:
         n = int(head[1])
     except ValueError as exc:
         raise ValueError(f"bad vertex count in header {lines[0]!r}") from exc
+    if n < 1:
+        raise ValueError("digraph needs at least one vertex")
     if max_vertices is not None and n > max_vertices:
         raise SizeLimitError(f"vertex cap is {max_vertices}, graph has {n}")
-    arcs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"bad edge line {ln!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"bad edge line {ln!r}") from exc
-        arcs.append((u, v))
-        if head[0] == "graph":
-            arcs.append((v, u))
-    return Digraph.from_arcs(n, arcs)
+
+    def arcs():
+        for ln in lines[1:]:
+            parts = ln.split()
+            if len(parts) != 2:
+                raise ValueError(f"bad edge line {ln!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError as exc:
+                raise ValueError(f"bad edge line {ln!r}") from exc
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
+            if u == v:
+                raise ValueError(f"loop at vertex {u}")
+            yield u, v
+            if head[0] == "graph":
+                yield v, u
+    return n, arcs()

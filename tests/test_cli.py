@@ -364,6 +364,32 @@ class TestRecognize:
         assert code == 3
         assert out == ""
 
+    def test_dot_memory_follows_the_file(self, capsys, tmp_path):
+        # the header's vertex count must not cost a row per vertex
+        path = tmp_path / "huge.txt"
+        path.write_text("digraph 10000000\n0 1\n")
+        tracemalloc.start()
+        try:
+            code, out, _ = run(capsys, "recognize", str(path), "--format", "dot")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert out == "digraph G {\n  0 -> 1;\n}\n"
+        assert peak < 5 * 2**20
+
+    def test_dot_checks_every_arc_before_writing(self, capsys, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("graph 4\n2 1\n0 1\n1 2\n3 4\n")
+        code, out, err = run(capsys, "recognize", str(path), "--format", "dot")
+        assert code == 2
+        assert out == ""
+        assert "out of range" in err
+        path.write_text("graph 4\n2 1\n0 1\n1 2\n")
+        code, out, _ = run(capsys, "recognize", str(path), "--format", "dot")
+        assert code == 0
+        assert out == ("digraph G {\n  0 -> 1;\n  1 -> 0;\n  1 -> 2;\n  2 -> 1;\n}\n")
+
     def test_dot_passthrough(self, capsys, tmp_path):
         path = tmp_path / "tri.txt"
         path.write_text("digraph 3\n0 1\n1 2\n2 0\n")

@@ -1,5 +1,7 @@
+import json
 import random
 import tracemalloc
+from array import array
 
 import pytest
 
@@ -30,14 +32,36 @@ class TestSetMask:
 
     @pytest.mark.parametrize("p", [17, 19, 37, 53, 101])
     def test_members_match_bitwise_decoding(self, p):
-        # masks of one 8-bit chunk, a chunk and a bit, and several chunks
         half = (p - 1) // 2
         rng = random.Random(p)
         for bits in [0, (1 << half) - 1, *(rng.getrandbits(half) for _ in range(50))]:
             want = sorted(i if bits >> (i - 1) & 1 else p - i for i in range(1, half + 1))
             assert SetMask(p, bits).members() == tuple(want)
-            # the class listing's text, read off per-chunk tables
-            assert enumeration._members_text(p, bits) == ",".join(map(str, want))
+
+    @pytest.mark.parametrize("p", [17, 19, 37, 53])
+    def test_listing_text_matches_bitwise_decoding(self, p):
+        # p = 53 is the largest p the default budget lists; the masks fill
+        # either half of the choice bits, both or neither
+        half = (p - 1) // 2
+        low, top = (1 << half // 2) - 1, (1 << half) - (1 << half // 2)
+        rng = random.Random(p)
+        masks = [0, low, top, low | top, *(rng.getrandbits(half) for _ in range(50))]
+        report = ClassReport(p, array("Q", masks), array("H", [2] * len(masks)))
+        for bits, line in zip(masks, report.json_lines()):
+            want = sorted(i if bits >> (i - 1) & 1 else p - i for i in range(1, half + 1))
+            assert json.loads(line)["rep"] == want
+            assert f'"rep":[{",".join(map(str, want))}]' in line
+
+    @pytest.mark.parametrize("p", [3, 5, 17, 41, 53])
+    def test_member_texts_sizes(self, p):
+        half = (p - 1) // 2
+        enumeration._member_texts.cache_clear()
+        below, high, above = enumeration._member_texts(p)
+        assert len(below) == len(above) == 1 << half // 2
+        assert len(high) == 1 << half - half // 2
+        assert all(high)
+        assert enumeration._member_texts(p) is enumeration._member_texts(p)
+        assert enumeration._member_texts.cache_info().misses == 1
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_round_trip(self, p):

@@ -2,9 +2,11 @@
 
 Each case runs `vtt.cli.main` in process and compares its stdout with
 `tests/golden/<name>.out`.  Graph arguments (`*.graph`) name input files in
-`tests/golden/`.  README.md says how to recapture a file by hand.
+`tests/golden/`.  README.md says how to recapture a file by hand.  Listings
+too large to keep as files are pinned by the sha256 of their stdout.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -30,6 +32,12 @@ CASES = {
     "fixtures-json": "fixtures --format json",
 }
 
+LARGE_LISTINGS = {
+    "classes 41": "0b68d4d2c6e312e131ab3754b719c93317ee40d4a821a2f310fd33af36b8085d",
+    "classes 43": "9a8e69d7fc06cde83d97059c2f1ea8a9dae7d4ce61d88eaf8c12cf440db58555",
+    "classes 29 --members": "479fc5d0b877f2d9703a9f5f87121e98fc0fa843a6359f2c5ce538ca8e72b39b",
+}
+
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_output(name, capsys):
@@ -42,3 +50,10 @@ def test_golden_output(name, capsys):
 def test_every_corpus_file_has_a_case():
     files = {f.stem for f in GOLDEN.glob("*.out")}
     assert files == set(CASES)
+
+
+@pytest.mark.parametrize("command", sorted(LARGE_LISTINGS))
+def test_large_listing_hash(command, capsys):
+    assert cli.main(command.split()) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == LARGE_LISTINGS[command]

@@ -1,5 +1,6 @@
 import random
 from itertools import chain, combinations
+from pathlib import Path
 
 import pytest
 
@@ -7,6 +8,7 @@ from vtt.graphs import (
     Digraph,
     cayley_digraph,
     cycle,
+    dot_from_text,
     is_tournament,
     k_cube,
     kneser,
@@ -21,6 +23,7 @@ from vtt.graphs import (
 from vtt.groups import AbelianGroup, cyclic
 from vtt.perm import is_automorphism, isomorphic
 
+GOLDEN = Path(__file__).parent / "golden"
 Z33 = AbelianGroup((3, 3))
 Z33_SET = {(0, 1), (2, 0), (1, 1), (2, 1)}
 
@@ -241,6 +244,24 @@ class TestExport:
     def test_export_is_deterministic(self):
         g = cayley_digraph(cyclic(9), {1, 7, 3, 5})
         assert to_dot(g) == to_dot(g)
+
+    @pytest.mark.parametrize("name", ["c4-c4", "c5-c3", "clebsch", "petersen", "q4", "z7-tournament"])
+    def test_dot_from_text_matches_parsed_graph(self, name):
+        text = (GOLDEN / f"{name}.graph").read_text()
+        assert dot_from_text(text) == to_dot(parse_graph_text(text))
+
+    def test_dot_from_text_sorts_and_merges_arcs(self):
+        text = "digraph 3\n2 0\n0 1\n2 0\n"
+        assert dot_from_text(text) == to_dot(parse_graph_text(text))
+        assert dot_from_text(text) == "digraph G {\n  0 -> 1;\n  2 -> 0;\n}\n"
+
+    @pytest.mark.parametrize("text", ["", "graph 0\n", "digraph 2\n0 0\n", "digraph 2\n0 2\n",
+                                      "digraph 2\n0 1 1\n", "digraph 2\n0 x\n"])
+    def test_dot_from_text_rejects_what_parsing_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_graph_text(text)
+        with pytest.raises(ValueError):
+            dot_from_text(text)
 
 
 class TestParse:
