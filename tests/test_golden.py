@@ -36,6 +36,9 @@ LARGE_LISTINGS = {
     "classes 41": "0b68d4d2c6e312e131ab3754b719c93317ee40d4a821a2f310fd33af36b8085d",
     "classes 43": "9a8e69d7fc06cde83d97059c2f1ea8a9dae7d4ce61d88eaf8c12cf440db58555",
     "classes 29 --members": "479fc5d0b877f2d9703a9f5f87121e98fc0fa843a6359f2c5ce538ca8e72b39b",
+    "count 3..28597": "7fe6222b2c81912f01ff68dc4f0139b9ac18f1adde9e4341e4eb5513765f7064",
+    "count 3..28597 --format json":
+        "a732b0e8835b8851851a96d93f6172cba20075c5df71610e39e20e450737cb00",
 }
 
 
