@@ -133,7 +133,9 @@ def cmd_count(args) -> int:
         if not is_prime(target):
             raise ValueError(f"{target} is not an odd prime")
         # checked just above, so phi_table's own primality test is skipped
-        rows = [(target, counting._phi_table(target).class_count)]
+        odd_divisors = counting.divisors(counting._odd_part(target - 1))
+        table = counting._phi_table(target, odd_divisors)
+        rows = [(target, table.class_count)]
     else:
         rows = counting.count_table(*target)
     sys.stdout.write(counting.format_count_table(rows, args.format))

@@ -13,6 +13,7 @@ the recursion performs is checked to be exact.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -25,6 +26,9 @@ from .groups import divisors, is_prime
 MAX_COUNT_DIGITS = 100_000
 # A count of at most this many bits is below 10^MAX_COUNT_DIGITS.
 _MAX_SAFE_BITS = int(MAX_COUNT_DIGITS * math.log2(10))
+# _decimal_counts converts a larger residual in blocks of this many bits.
+_BLOCK_BITS = 1024
+_BLOCK_MASK = (1 << _BLOCK_BITS) - 1
 
 
 @dataclass(frozen=True)
@@ -58,27 +62,30 @@ def _check_odd_prime(p: int) -> None:
 def phi_table(p: int) -> PhiTable:
     """Run the divisor recursion for p and return the filled table."""
     _check_odd_prime(p)
-    return _phi_table(p)
+    return _phi_table(p, divisors(_odd_part(p - 1)))
 
 
-def _phi_table(p: int) -> PhiTable:
-    """phi_table for a p already known to be an odd prime.
+def _odd_part(n: int) -> int:
+    """n >= 1 divided by its largest power of two."""
+    return n // (n & -n)
+
+
+def _phi_table(p: int, odd_divisors: list[int]) -> PhiTable:
+    """phi_table for a p already known to be an odd prime, walking the
+    divisors of the odd part of p - 1 that the caller found.
 
     exact[m] = count * size is the number of sets whose stabilizer in Z_p^*
     has odd part exactly m, kept as the dividend of m's exact division.  The
     m-invariant sets counted at a finer level are then the sum of exact[d]
     over the proper multiples d of m, which the descending walk has already
     stored, so no product count * size is ever formed."""
-    r = p - 1
-    two_exp = 0
-    while r % 2 == 0:
-        r //= 2
-        two_exp += 1
+    r = _odd_part(p - 1)
+    two_exp = ((p - 1) // r).bit_length() - 1
     entries: dict[int, tuple[int, int]] = {}
     subsumed: dict[int, int] = {}
     exact: dict[int, int] = {}
     total = 0
-    for m in reversed(divisors(r)):
+    for m in reversed(odd_divisors):
         covered = 0
         for d, sets in exact.items():
             if d % m == 0:
@@ -118,25 +125,29 @@ def class_count(p: int) -> int:
     return phi_table(p).class_count
 
 
-def _odd_primes(lo: int, hi: int) -> list[int]:
-    """The odd primes in [lo, hi], ascending, from one sieve up to hi."""
-    hi = max(hi, 2)
-    sieve = bytearray([1]) * (hi + 1)
-    sieve[:2] = b"\0\0"
-    for f in range(2, math.isqrt(hi) + 1):
-        if sieve[f]:
-            sieve[f * f::f] = bytes(len(range(f * f, hi + 1, f)))
-    return [p for p in range(max(3, lo) | 1, hi + 1, 2) if sieve[p]]
+def _least_factors(n: int) -> array:
+    """least[k] is the smallest prime dividing k, for 2 <= k <= n; least[k] = k
+    exactly when k is 0, 1 or a prime.  Each f <= sqrt(n), largest first,
+    writes itself into its multiples from f^2 on, so the last f to write k is
+    k's smallest divisor above 1, a prime."""
+    least = array("I", range(n + 1))
+    for f in range(math.isqrt(n), 1, -1):
+        least[f * f::f] = array("I", [f]) * len(range(f * f, n + 1, f))
+    return least
 
 
 def count_table(p_min: int, p_max: int) -> list[tuple[int, int]]:
     """(p, class count) for every odd prime in [p_min, p_max], ascending.
 
-    The digit cap is checked on p_max before anything is counted."""
+    One least-prime-factor table up to p_max yields the primes and the
+    factors of each p - 1.  The digit cap is checked on p_max before the
+    table is built or anything is counted."""
     if p_min > p_max:
         raise ValueError(f"empty range: {p_min} > {p_max}")
     check_digit_cap(p_max)
-    return [(p, _phi_table(p).class_count) for p in _odd_primes(p_min, p_max)]
+    least = _least_factors(max(p_max, 2))
+    return [(p, _phi_table(p, divisors(_odd_part(p - 1), least)).class_count)
+            for p in range(max(3, p_min) | 1, p_max + 1, 2) if least[p] == p]
 
 
 def _decimal_counts(rows: list[tuple[int, int]]) -> Iterator[str]:
@@ -148,6 +159,11 @@ def _decimal_counts(rows: list[tuple[int, int]]) -> Iterator[str]:
     of size (p-1)/3), so only e is converted from binary; 2^h is carried in
     decimal from row to row, and the subtraction, the division by d and str()
     are linear.  The identity holds for any integer row (d is at least 1).
+    Converting e is the one quadratic step left, and CPython's own int ->
+    Decimal is its slowest form: an e of more than _BLOCK_BITS bits is built
+    instead from its blocks of _BLOCK_BITS bits by Horner's rule, one fused
+    multiply-add each, which is faster at the sizes of a count table
+    (BENCH_27.json has the measurements and the other block sizes tried).
     The precision bounds every operand by digits <= bits // 3 + 1, and Inexact
     and Rounded trap, so a precision too small raises and never rounds.  One
     row's text is alive at a time: the caller's output is the only copy."""
@@ -160,6 +176,7 @@ def _decimal_counts(rows: list[tuple[int, int]]) -> Iterator[str]:
                 for p, count in rows), default=0)
     ctx = Context(prec=bits // 3 + 1, traps=[InvalidOperation, Inexact, Rounded])
     power = h_prev = None  # power = 2^h_prev, in decimal
+    block = None  # 2^_BLOCK_BITS, in decimal, once an e needs it: before, prec may be too small
     for p, count in rows:
         d = max(p - 1, 1)
         h = d // 2
@@ -168,7 +185,15 @@ def _decimal_counts(rows: list[tuple[int, int]]) -> Iterator[str]:
         else:
             power = ctx.multiply(power, 1 << (h - h_prev))
         h_prev = h
-        quotient, remainder = ctx.divmod(ctx.subtract(power, (1 << h) - count * d), d)
+        e = (1 << h) - count * d
+        if e.bit_length() > _BLOCK_BITS:
+            if block is None:
+                block = ctx.power(2, _BLOCK_BITS)
+            n, value = abs(e), 0
+            for shift in range(n.bit_length() // _BLOCK_BITS * _BLOCK_BITS, -1, -_BLOCK_BITS):
+                value = ctx.fma(value, block, n >> shift & _BLOCK_MASK)
+            e = value if e > 0 else ctx.copy_negate(value)
+        quotient, remainder = ctx.divmod(ctx.subtract(power, e), d)
         if remainder:
             raise InconsistencyError(f"decimal conversion of the count for p={p} is not exact")
         yield str(quotient)

@@ -10,6 +10,7 @@ downstream output is reproducible.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import product
 
@@ -30,23 +31,29 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def divisors(r: int) -> list[int]:
-    """All positive divisors of r, increasing: the products of the prime
-    powers that trial division of the shrinking cofactor finds."""
+def divisors(r: int, least: Sequence[int] | None = None) -> list[int]:
+    """All positive divisors of r, increasing.  The smallest prime factor f of
+    the shrinking cofactor is found by trial division, or read off `least`
+    when given: a table with least[k] the smallest prime dividing k, for
+    2 <= k <= r.  Each power of f dividing r adds one layer: the divisors
+    found so far, times that power."""
     if r < 1:
         raise ValueError(f"divisors requires r >= 1, got {r}")
     divs = [1]
     f = 2
-    while f * f <= r:
-        if r % f == 0:
-            powers = [1]
-            while r % f == 0:
-                r //= f
-                powers.append(powers[-1] * f)
-            divs = [d * q for d in divs for q in powers]
-        f += 1 if f == 2 else 2
-    if r > 1:
-        divs += [d * r for d in divs]
+    while r > 1:
+        if least is not None:
+            f = least[r]
+        else:
+            while r % f:
+                f += 1 if f == 2 else 2
+                if f * f > r:
+                    f = r
+        layer = divs
+        while r % f == 0:
+            r //= f
+            layer = [d * f for d in layer]
+            divs = divs + layer
     return sorted(divs)
 
 

@@ -79,6 +79,8 @@ class TestCount:
         def refuse(p):
             raise AssertionError(f"_phi_table({p}) ran")
         monkeypatch.setattr(counting, "_phi_table", refuse)
+        # a range would first build its least-factor table up to 1000003
+        monkeypatch.setattr(counting, "_least_factors", refuse)
         code, out, err = run(capsys, "count", arg)
         assert code == 3
         assert out == ""
@@ -115,6 +117,22 @@ class TestCount:
         assert code == 1
         assert out == ""
         assert message in err
+
+    @pytest.mark.parametrize("trim, message", [
+        (lambda divs: divs[:-1], "non-exact division at p=331, m=55"),
+        (lambda divs: divs[1:], "class sizes do not exhaust all sets for p=331"),
+    ], ids=["without-r", "without-1"])
+    def test_range_recursion_inconsistency_exits_1(self, capsys, monkeypatch, trim, message):
+        # a range reads the factors of each p - 1 off its least-factor table
+        monkeypatch.setattr(counting, "divisors", lambda r, least: trim(divisors(r, least)))
+        code, out, err = run(capsys, "count", "331..331")
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    @pytest.mark.parametrize("fmt, want", [("tsv", ""), ("json", "[]\n")])
+    def test_range_without_primes(self, capsys, fmt, want):
+        assert run(capsys, "count", "8..10", "--format", fmt) == (0, want, "")
 
     def test_rejects_garbage(self, capsys):
         code, _, err = run(capsys, "count", "eleven")

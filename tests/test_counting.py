@@ -146,6 +146,21 @@ class TestCountTable:
         with pytest.raises(ValueError):
             count_table(13, 3)
 
+    def test_rows_match_phi_table(self):
+        # 151, 163 and 487 have odd parts 75, 81 and 243, with repeated factors;
+        # for the Fermat primes 17, 257 and 65537 the odd part is 1
+        rows = count_table(3, 3000) + count_table(65537, 65537)
+        assert {151, 163, 487, 17, 257, 65537} <= {p for p, _ in rows}
+        for p, count in rows:
+            assert count == phi_table(p).class_count
+
+    def test_least_factors(self):
+        for n in (0, 1, 2, 3, 4, 9, 10, 3000):
+            least = counting._least_factors(n)
+            assert list(least[:2]) == [0, 1][:n + 1]
+            for k in range(2, n + 1):
+                assert least[k] == next(f for f in range(2, k + 1) if k % f == 0)
+
     def test_sieved_primes_are_not_tested_again(self, monkeypatch):
         calls = []
         monkeypatch.setattr(counting, "is_prime", lambda p: calls.append(p) or is_prime(p))
@@ -183,6 +198,15 @@ class TestCountTable:
         rows = [(rng.choice(primes), rng.getrandbits(rng.randrange(1, 16000)))
                 for _ in range(200)]
         rows += [(3, 0), (5, 1), (7, 10 ** 4400), (11, 10 ** 4400 - 1)]
+        # residuals e = 2^h - count * (p - 1) on both sides of the 1024-bit blocks
+        d = 4138
+        for bits in (1023, 1024, 1025, 2048, 2049):
+            for e in (1 << bits - 1, 1 - (1 << bits)):
+                count = ((1 << d // 2) - e) // d
+                assert ((1 << d // 2) - count * d).bit_length() == bits
+                rows.append((d + 1, count))
+        # 3 divides 28596, so the residual has about a third of the 14,298 bits
+        rows.append((28597, class_count(28597)))
         assert format_count_table(rows, fmt) == reference_rendering(rows, fmt)
 
     def test_format_descending_and_large_primes(self):

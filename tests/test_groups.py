@@ -65,6 +65,12 @@ def test_divisors():
         divisors(0)
 
 
+def test_divisors_read_off_a_least_factor_table():
+    least = [0, 1] + [next(f for f in range(2, k + 1) if k % f == 0) for k in range(2, 2001)]
+    for n in range(1, 2001):
+        assert divisors(n, least) == divisors(n)
+
+
 def test_prime_factors():
     assert prime_factors(1) == []
     assert prime_factors(100002) == [2, 3, 7, 2381]
