@@ -176,6 +176,11 @@ class TestClasses:
         assert code == 3
         assert "budget" in err
 
+    @pytest.mark.parametrize("n,code", [(9, 2), (64, 2), (63, 3)])
+    def test_parity_then_budget_then_primality(self, capsys, n, code):
+        # an odd n past the mask budget is refused before its primality is tested
+        assert run(capsys, "classes", str(n))[0] == code
+
     def test_default_budget_refuses_p59(self, capsys, monkeypatch):
         def fail(*args):
             raise AssertionError("enumeration started past the budget")
@@ -257,6 +262,18 @@ class TestVerify:
             assert json.loads(out)["ok"] is False
         else:
             assert out == "formula=4 enumeration=4 burnside=4 MISMATCH\n"
+
+
+@pytest.mark.parametrize("command", ["classes", "verify"])
+def test_huge_prime_refused_before_trial_division(capsys, command):
+    # 2^61 - 1 is prime: trial division up to its square root takes minutes,
+    # while the mask budget refuses it at once
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(2**61 - 1))
+    assert time.perf_counter() - start < 1
+    assert code == 3
+    assert out == ""
+    assert "budget" in err
 
 
 class TestRecognize:
