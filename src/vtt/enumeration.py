@@ -102,12 +102,16 @@ class SetMask:
 
 
 def _check_enumerable(p: int, budget_bits: int) -> int:
-    if not _is_odd_prime(p):
+    """(p - 1) / 2, checked for parity, then the budget, then primality,
+    so trial division never runs on a p the budget refuses."""
+    if p % 2 == 0:
         raise ValueError(f"{p} is not an odd prime")
     half = (p - 1) // 2
     if half > budget_bits:
         raise SizeLimitError(
             f"p={p} needs {half} mask bits, over the budget of {budget_bits}")
+    if not _is_odd_prime(p):
+        raise ValueError(f"{p} is not an odd prime")
     return half
 
 
