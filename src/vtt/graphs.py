@@ -2,6 +2,10 @@
 
 Vertices are 0..n-1 and `adj[v]` is an integer whose bit w is set exactly when
 the arc v -> w exists.  Undirected graphs are stored as symmetric digraphs.
+Whole-graph transforms write each row as an n-character bit string, bit w at
+index n-1-w, and run in C: `preds` is one transpose of the rows and `relabel`
+one `itemgetter` over each row.  `_ascending_bits` lists the set bits of a
+row where a loop needs them one at a time.
 Constructors: Cayley digraphs on finite abelian groups, hypercubes, cycles,
 Kneser graphs (Petersen as J(5,2,0)), and wreath products.
 Tournament-specific machinery: connection-set validity and the per-arc
@@ -14,6 +18,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
+from operator import itemgetter
 
 from .errors import SizeLimitError
 from .groups import AbelianGroup, cyclic
@@ -50,28 +55,22 @@ class Digraph:
 
     @cached_property
     def preds(self) -> tuple[int, ...]:
-        """Per-vertex predecessor bitsets (bit u of preds[v] iff u -> v)."""
-        pred = [0] * self.n
-        for u, bits in enumerate(self.adj):
-            w = bits
-            while w:
-                low = w & -w
-                pred[low.bit_length() - 1] |= 1 << u
-                w ^= low
-        return tuple(pred)
+        """Per-vertex predecessor bitsets (bit u of preds[v] iff u -> v): the
+        rows from n-1 down to 0, transposed, give the columns from n-1 down."""
+        rows = [format(bits, f"0{self.n}b") for bits in reversed(self.adj)]
+        return tuple(int("".join(column), 2) for column in zip(*rows))[::-1]
 
     def arcs(self) -> list[tuple[int, int]]:
         """All arcs sorted lexicographically."""
-        return [(u, w) for u in range(self.n) for w in _bits_to_list(self.adj[u])]
+        return [(u, w) for u in range(self.n) for w in _ascending_bits(self.adj[u])]
 
 
-def _bits_to_list(bits: int) -> list[int]:
-    out = []
+def _ascending_bits(bits: int):
+    """The set bits of bits, lowest first, found one at a time."""
     while bits:
         low = bits & -bits
-        out.append(low.bit_length() - 1)
+        yield low.bit_length() - 1
         bits ^= low
-    return out
 
 
 def cayley_digraph(group: AbelianGroup, s) -> Digraph:
@@ -122,12 +121,11 @@ def validate_tournament_set(group: AbelianGroup, s) -> bool:
 
 
 def is_tournament(g: Digraph) -> bool:
-    """True iff exactly one arc joins every unordered vertex pair."""
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if (g.adj[u] >> v & 1) == (g.adj[v] >> u & 1):
-                return False
-    return True
+    """True iff exactly one arc joins every unordered vertex pair: each
+    vertex's successors and predecessors split the other vertices."""
+    full = (1 << g.n) - 1
+    return all(not out & into and out | into == full ^ 1 << u
+               for u, (out, into) in enumerate(zip(g.adj, g.preds)))
 
 
 def k_cube(k: int) -> Digraph:
@@ -174,7 +172,7 @@ def wreath_product(g: Digraph, h: Digraph) -> Digraph:
     block = [0] * g.n
     for v in range(g.n):
         bits = 0
-        for w in _bits_to_list(g.adj[v]):
+        for w in _ascending_bits(g.adj[v]):
             bits |= ((1 << h.n) - 1) << (w * h.n)
         block[v] = bits
     for v in range(g.n):
@@ -210,17 +208,18 @@ def triangle_profile(g: Digraph) -> TriangleProfile:
 
 
 def relabel(g: Digraph, images) -> Digraph:
-    """Apply a vertex permutation: arc u -> v becomes images[u] -> images[v]."""
+    """Apply a vertex permutation: arc u -> v becomes images[u] -> images[v].
+
+    Row x is the row of inverse[x], the vertex that images takes to x, with
+    its bit y read from bit inverse[y]: one `itemgetter` of the row string.
+    """
     images = tuple(images)
     if sorted(images) != list(range(g.n)):
         raise ValueError("images is not a permutation of the vertices")
-    adj = [0] * g.n
-    for u in range(g.n):
-        bits = 0
-        for w in _bits_to_list(g.adj[u]):
-            bits |= 1 << images[w]
-        adj[images[u]] = bits
-    return Digraph(g.n, tuple(adj))
+    inverse = sorted(range(g.n), key=images.__getitem__)
+    pick = itemgetter(*[g.n - 1 - u for u in reversed(inverse)])
+    return Digraph(g.n, tuple(int("".join(pick(format(g.adj[u], f"0{g.n}b"))), 2)
+                              for u in inverse))
 
 
 def _dot(arcs) -> str:

@@ -143,15 +143,6 @@ class AbelianGroup:
             i = i * m + c
         return i
 
-    def element(self, i: int) -> Element:
-        if not 0 <= i < self.order:
-            raise ValueError(f"rank {i} out of range for group of order {self.order}")
-        coords = []
-        for m in reversed(self.moduli):
-            i, c = divmod(i, m)
-            coords.append(c)
-        return tuple(reversed(coords))
-
     def add(self, x, y) -> Element:
         x, y = self.coerce(x), self.coerce(y)
         return tuple((a + b) % m for a, b, m in zip(x, y, self.moduli))

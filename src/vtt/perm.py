@@ -7,12 +7,14 @@ group is not.  `_search`, depth first on an explicit stack, yields the least
 isomorphisms g -> h that respect paired vertex partitions: colour refinement
 (McKay & Piperno 2014) splits g's cells by out- and in-neighbour counts in each
 other cell until equitable, once per depth; vertices are individualized in
-ascending order, each with its images ascending, and g's splits replayed on h.
-`isomorphic` searches from one root.  `automorphisms` builds a stabilizer chain
-along the base 0..n-1 (Sims 1970) below the first discrete partition, with
-`_walk` transversals and one search per level.  A `PermGroup` is that chain:
-its order is the product of the basic orbit lengths, and `_products` walks its
-elements lazily.  Results are deterministic.
+ascending order, each with its images ascending (`graphs._ascending_bits`), and
+g's splits replayed on h; a discrete pair of partitions is a map, kept iff one
+`graphs.relabel` takes g's rows to h's.  `isomorphic` searches from one root.
+`automorphisms` builds a stabilizer chain along the base 0..n-1 (Sims 1970)
+below the first discrete partition, with `_walk` transversals and one search
+per level.  A `PermGroup` is that chain: its order is the product of the basic
+orbit lengths, and `_products` walks its elements lazily.  Results are
+deterministic.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from operator import eq, itemgetter
 
 from .errors import InconsistencyError, SizeLimitError
-from .graphs import Digraph, _bits_to_list, relabel
+from .graphs import Digraph, _ascending_bits, relabel
 
 Permutation = tuple[int, ...]
 
@@ -235,14 +237,6 @@ def _chain(g: Digraph):
     return depth
 
 
-def _ascending_bits(bits: int):
-    """The set bits of bits, lowest first, found one at a time."""
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
-
-
 def _children(h: Digraph, cells: list[int], k: int, images, trace):
     """h's partitions with each image in turn split off cell k, g's trace replayed, or None."""
     return (_replay(h, _split_off(cells, k, w), trace) for w in images)
@@ -280,7 +274,8 @@ def _maps_arcs(g: Digraph, h: Digraph, p: Permutation) -> bool:
     arc u -> w of g has its image p[u] -> p[w] in h: p maps g's arcs onto h's."""
     return (sorted(p) == list(range(g.n))
             and sum(map(int.bit_count, g.adj)) == sum(map(int.bit_count, h.adj))
-            and all(h.adj[p[u]] >> p[w] & 1 for u in range(g.n) for w in _bits_to_list(g.adj[u])))
+            and all(h.adj[p[u]] >> p[w] & 1
+                    for u in range(g.n) for w in _ascending_bits(g.adj[u])))
 
 
 def is_automorphism(g: Digraph, p: Permutation) -> bool:
@@ -348,7 +343,7 @@ def automorphisms(g: Digraph, cap: int = DEFAULT_AUT_CAP) -> PermGroup:
     for u in reversed(range(next(d for d in range(n) if len(depth(d)[0]) == n))):
         reps = _walk(generators, {u: ident}, itemgetter(u))
         cells, k, _ = depth(u)
-        images = (w for w in _bits_to_list(cells[k]) if w not in reps)  # reps as it grows
+        images = (w for w in _ascending_bits(cells[k]) if w not in reps)  # reps as it grows
         for found in _search(g, g, depth, u + 1, _children(g, cells, k, images, depth(u + 1)[2]),
                              budget):
             generators.append(found)

@@ -28,9 +28,25 @@ Z33 = AbelianGroup((3, 3))
 Z33_SET = {(0, 1), (2, 0), (1, 1), (2, 1)}
 
 
+# row strings change shape at one vertex, and at a word of bits on either side
+ROW_SIZES = [1, 2, 3, 7, 63, 64, 65]
+
+
 def brute_triangles(g, u, v):
     return sum(1 for w in range(g.n)
                if w not in (u, v) and g.adj[v] >> w & 1 and g.adj[w] >> u & 1)
+
+
+def random_digraph(n, seed):
+    rng = random.Random(seed)
+    return Digraph.from_arcs(n, [(u, v) for u in range(n) for v in range(n)
+                                 if u != v and rng.random() < 0.5])
+
+
+def random_tournament(n, seed):
+    rng = random.Random(seed)
+    return Digraph.from_arcs(n, [(u, v) if rng.random() < 0.5 else (v, u)
+                                 for u, v in combinations(range(n), 2)])
 
 
 class TestDigraph:
@@ -51,6 +67,21 @@ class TestDigraph:
         g = petersen()
         for u, v in g.arcs():
             assert g.preds[v] >> u & 1
+        for n in ROW_SIZES:
+            g = random_digraph(n, n)
+            preds = [0] * n
+            for u, v in g.arcs():
+                preds[v] |= 1 << u
+            assert g.preds == tuple(preds)
+
+    def test_relabel_matches_per_arc_relabelling(self):
+        for n in ROW_SIZES:
+            g = random_digraph(n, n)
+            images = random.Random(-n).sample(range(n), n)
+            adj = [0] * n
+            for u, v in g.arcs():
+                adj[images[u]] |= 1 << images[v]
+            assert relabel(g, images).adj == tuple(adj)
 
 
 def test_cayley_directed_triangle():
@@ -137,6 +168,15 @@ def test_is_tournament_brute():
     assert is_tournament(g)
     assert not is_tournament(cycle(5))
     assert not is_tournament(Digraph(3, (0, 0, 0)))
+    for n in ROW_SIZES:
+        g = random_tournament(n, n)
+        assert is_tournament(g)
+        if n == 1:
+            continue
+        rng = random.Random(n)
+        u, v = rng.choice(g.arcs())
+        assert not is_tournament(Digraph.from_arcs(n, set(g.arcs()) - {(u, v)}))  # dropped
+        assert not is_tournament(Digraph.from_arcs(n, g.arcs() + [(v, u)]))  # doubled
 
 
 def test_k_cube():

@@ -104,10 +104,8 @@ class TestAbelianGroup:
     def test_indexing_is_mixed_radix(self):
         g = AbelianGroup((3, 3))
         assert g.index((1, 2)) == 5
-        assert g.element(5) == (1, 2)
         for i, x in enumerate(g.elements()):
             assert g.index(x) == i
-            assert g.element(i) == x
 
     @pytest.mark.parametrize("moduli", [(2,), (5,), (3, 3), (4, 6), (2, 3, 5)])
     def test_element_arithmetic(self, moduli):
