@@ -51,8 +51,8 @@ def _add_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.Ar
     parser.add_argument("--budget-bits", type=int, metavar="B",
                         default=_env_default("BUDGET_BITS", enumeration.DEFAULT_BUDGET_BITS, int),
                         help="mask-bit budget for explicit enumeration: admits p with "
-                             "(p-1)/2 <= B; the orbit walk needs about 0.7 bytes per mask "
-                             "(default: %(default)s)")
+                             "(p-1)/2 <= B; enumeration keeps each class's smallest mask "
+                             "and size, about 6 bytes per class (default: %(default)s)")
     parser.add_argument("--aut-cap", type=int, metavar="N",
                         default=_env_default("AUT_CAP", perm.DEFAULT_AUT_CAP, int),
                         help="vertex cap for automorphism search, checked on the graph "
@@ -62,7 +62,7 @@ def _add_arguments(parser: argparse.ArgumentParser, command: str) -> argparse.Ar
     parser.add_argument("--workers", type=int, metavar="W",
                         default=_env_default("WORKERS", 1, int),
                         help="accepted for compatibility and checked to be >= 1; has no "
-                             "effect, enumeration is a single serial orbit walk "
+                             "effect, enumeration runs in one process "
                              "(default: %(default)s)")
     if command == "count":
         parser.add_argument("prime", help="an odd prime P, or a range LO..HI")

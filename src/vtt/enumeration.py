@@ -4,16 +4,17 @@ A tournament set on Z_p picks one of {i, p-i} for each i in 1..(p-1)/2, so it
 packs into (p-1)/2 bits: bit i-1 set means i is in the set, clear means p-i
 is.  Multiplication by a unit permutes these choices; orbits of that action
 are exactly the isomorphism classes of the corresponding Cayley tournaments.
-Z_p^* is cyclic, so the orbits are those of one primitive root, whose power -1
-flips every bit: classes are closed under complement.  The walk runs on keys,
-masks with the top bit clear that stand for themselves and their complements;
-the fold to keys is linear, so a key steps by two table lookups.  With one
-visited byte per key and each class's smallest mask and size kept, it needs
-about 0.7 bytes per mask; members are walked again on demand.  A listing
-line spells a mask's members by three lookups in tables built once per p,
-keyed by the low and the high half of the choice bits: the low half's
-members below p/2, the high half's members, then the low half's members
-above p/2, which is ascending order.  Burnside's count is a second,
+-1 flips every bit, so classes are closed under complement, and each class's
+smallest mask is a key, a mask with the top bit clear that stands for itself
+and its complement.  A key is its class's smallest mask iff no unit takes it
+to a smaller key; that test runs bit-sliced, on 2^14 keys per big-int
+operation, and only each class's smallest mask and size are kept.  Members
+are walked again on demand: Z_p^* is cyclic, so a class is the orbit of one
+primitive root, and the fold to keys is linear, so a key steps by two table
+lookups.  A listing line spells a mask's members by three lookups in tables
+built once per p, keyed by the low and the high half of the choice bits: the
+low half's members below p/2, the high half's members, then the low half's
+members above p/2, which is ascending order.  Burnside's count is a second,
 independent oracle.
 """
 
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import math
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -28,9 +30,12 @@ from functools import cache
 from itertools import repeat
 
 from .errors import InconsistencyError, SizeLimitError
+from .graphs import _ascending_bits
 from .groups import is_prime, prime_factors, primitive_root, units
 
 DEFAULT_BUDGET_BITS = 26
+# the orbit-minimum test decides 2^_BLOCK_BITS keys at once, one per bit of an int
+_BLOCK_BITS = 14
 
 
 @cache
@@ -47,7 +52,7 @@ def _member_texts(p: int) -> tuple[list[str], list[str], list[str]]:
     below[lo] holds lo's members under p/2, each followed by a comma, and
     above[lo] its members over p/2, each preceded by one; high[hi] holds every
     member of the top choices, at least one.  Each table has at most 2^(h-a)
-    entries, about the square root of the walk's visited array.
+    entries, about the square root of the number of masks.
     """
     h = (p - 1) // 2
     a = h // 2
@@ -122,29 +127,37 @@ def all_sets(p: int, budget_bits: int = DEFAULT_BUDGET_BITS):
         yield SetMask(p, bits)
 
 
+def _choice_images(p: int, a: int) -> tuple[list[int], int]:
+    """Where unit a sends the choice bits: bit i goes to bit images[i], and
+    flips marks the image bits that hold the negative of a choice, so a takes
+    a mask to its bits moved by images, XOR flips."""
+    if a % p == 0:
+        raise ValueError("multiplier must be nonzero mod p")
+    half = (p - 1) // 2
+    flips = 0
+    images = []
+    for i in range(1, half + 1):
+        v = a * i % p
+        if v > half:
+            v = p - v
+            flips |= 1 << (v - 1)
+        images.append(v - 1)
+    return images, flips
+
+
 def _act_table(p: int, a: int) -> tuple[list[int], list[int], int]:
     """Lookup tables (low, high, w) for the action of unit a on masks: it takes
     bits to low[bits & (1 << w) - 1] ^ high[bits >> w], w being half the bits
     rounded up.  Distinct choice bits go to distinct bits, so the two images
     never overlap; the flip of the choices a sends to their negatives is in high.
     """
-    if a % p == 0:
-        raise ValueError("multiplier must be nonzero mod p")
-    half = (p - 1) // 2
-    w = (half + 1) // 2
-    flip_mask = 0
-    images = []
-    for i in range(1, half + 1):
-        v = a * i % p
-        if v > half:
-            v = p - v
-            flip_mask |= 1 << (v - 1)
-        images.append(1 << (v - 1))
-    low, high = [0], [flip_mask]
-    for bit in images[:w]:
-        low += [x ^ bit for x in low]
-    for bit in images[w:]:
-        high += [x ^ bit for x in high]
+    images, flips = _choice_images(p, a)
+    w = (len(images) + 1) // 2
+    low, high = [0], [flips]
+    for v in images[:w]:
+        low += [x ^ (1 << v) for x in low]
+    for v in images[w:]:
+        high += [x ^ (1 << v) for x in high]
     return low, high, w
 
 
@@ -254,29 +267,73 @@ def equivalence_classes(p: int, include_members: bool = False,
                         budget_bits: int = DEFAULT_BUDGET_BITS) -> ClassReport:
     """Orbits of the unit action, canonical representative = smallest mask.
 
-    Z_p^* is cyclic, so the orbits of one primitive root are the orbits of
-    the whole unit group.  A class of size s is s/2 keys, masks folded to the
-    top bit clear, in one cycle whose least key is the class's least mask; the
-    walk marks each key, and a scan of the visited bytes finds the next.
+    -1 complements every mask, so a class's smallest mask is a key, a mask
+    with the top choice bit clear, and a and -a take a key to one key once
+    folded (complemented if the top bit is set).  So key x is its class's
+    smallest mask iff x <= fold(a*x) for every unit a in 2..h, h = (p-1)/2,
+    and its class has (p-1)/(1 + s) masks, s being the number of those a with
+    equality.  The test runs on blocks of 2^c keys at once: plane j is one int
+    whose bit i is bit j of the block's key i, a's image planes are source
+    planes XOR the plane of the image's top bit, and the comparison runs down
+    the planes until every key in the block is decided.
     """
     half = _check_enumerable(p, budget_bits)
-    low, high, w = _generator_table(p)
-    m = (1 << w) - 1
-    visited = bytearray(1 << (half - 1))
+    # per unit a in 2..h: the source plane of the image's top bit, then from
+    # the top plane down each image plane's source, and whether its flip
+    # differs from the top bit's
+    units = []
+    for a in range(2, half + 1):
+        images, flips = _choice_images(p, a)
+        source = [0] * half
+        for i, v in enumerate(images):
+            source[v] = i
+        top_flip = flips >> half - 1 & 1
+        units.append((source[-1], [(j, source[j], (flips >> j & 1) ^ top_flip)
+                                   for j in range(half - 2, -1, -1)]))
+    c = min(half - 1, _BLOCK_BITS)
+    ones = (1 << (1 << c)) - 1
+    # plane j < c has bit i set iff i has bit j set; adding 2^j to i carries
+    # into bit j + 1 iff bit j of i is set, so plane j is plane j + 1 XOR
+    # itself shifted down by 2^j, from an all-ones plane c
+    low, plane = [], ones
+    for j in reversed(range(c)):
+        plane ^= plane >> (1 << j)
+        low.insert(0, plane)
     # masks fit 32 bits up to half = 32; sizes divide p - 1, below 2^16 for
-    # any p whose 2^(half-1) visited bytes fit in memory
+    # any p the mask budget admits
     reps, sizes = array("I" if half <= 32 else "Q"), array("H")
-    rep = 0
-    while rep >= 0:
-        bits = rep
-        for size in range(2, p, 2):  # a class's size is even and divides p - 1
-            visited[bits] = 1
-            bits = low[bits & m] ^ high[bits >> w]
-            if bits == rep:
-                break
-        reps.append(rep)
-        sizes.append(size)
-        rep = visited.find(0, rep + 1)
+    for base in range(0, 1 << half - 1, 1 << c):
+        planes = low + [ones if base >> j & 1 else 0 for j in range(c, half - 1)] + [0]
+        smallest, fixed = ones, []
+        for top, steps in units:
+            t = planes[top]
+            flipped = t ^ ones
+            undecided, greater = smallest, 0
+            for j, s, f in steps:
+                x = planes[j]
+                differ = (x ^ planes[s] ^ (flipped if f else t)) & undecided
+                if differ:
+                    greater |= differ & x
+                    undecided ^= differ
+                    if not undecided:
+                        break
+            smallest &= ~greater
+            if undecided:  # keys that a fixes
+                fixed.append(undecided)
+        block = len(reps)
+        lanes = format(smallest, "b")[::-1]
+        lane = lanes.find("1")
+        while lane >= 0:
+            reps.append(base + lane)
+            lane = lanes.find("1", lane + 1)
+        sizes.extend(repeat(p - 1, len(reps) - block))
+        stabilizer = Counter(bisect_left(reps, base + lane, block)
+                             for keys in fixed for lane in _ascending_bits(keys & smallest))
+        for i, fixers in stabilizer.items():
+            sizes[i] = (p - 1) // (1 + fixers)
+    if sum(sizes) != 1 << half or any((p - 1) % size for size in set(sizes)):
+        raise InconsistencyError(
+            f"class sizes at p={p} do not split the {1 << half} masks into divisors of {p - 1}")
     return ClassReport(p, reps, sizes, include_members)
 
 

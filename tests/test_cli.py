@@ -184,7 +184,7 @@ class TestClasses:
     def test_default_budget_refuses_p59(self, capsys, monkeypatch):
         def fail(*args):
             raise AssertionError("enumeration started past the budget")
-        monkeypatch.setattr(cli.enumeration, "_act_table", fail)
+        monkeypatch.setattr(cli.enumeration, "_choice_images", fail)
         code, out, err = run(capsys, "classes", "59")
         assert code == 3
         assert out == ""
@@ -193,7 +193,7 @@ class TestClasses:
     def test_default_budget_refuses_members_at_p59(self, capsys, monkeypatch):
         def fail(*args):
             raise AssertionError("enumeration started past the budget")
-        monkeypatch.setattr(cli.enumeration, "_act_table", fail)
+        monkeypatch.setattr(cli.enumeration, "_choice_images", fail)
         code, out, err = run(capsys, "classes", "59", "--members")
         assert code == 3
         assert out == ""
@@ -262,6 +262,19 @@ class TestVerify:
             assert json.loads(out)["ok"] is False
         else:
             assert out == "formula=4 enumeration=4 burnside=4 MISMATCH\n"
+
+    def test_inconsistent_enumeration_exits_1(self, capsys, monkeypatch):
+        # unit 3 taken for the identity: the class sizes no longer add up, so
+        # the enumeration raises before verify prints a line
+        real = cli.enumeration._choice_images
+
+        def identity_for_3(p, a):
+            return (list(range((p - 1) // 2)), 0) if a == 3 else real(p, a)
+        monkeypatch.setattr(cli.enumeration, "_choice_images", identity_for_3)
+        code, out, err = run(capsys, "verify", "13")
+        assert code == 1
+        assert out == ""
+        assert "class sizes" in err
 
 
 @pytest.mark.parametrize("command", ["classes", "verify"])

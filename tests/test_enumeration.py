@@ -23,6 +23,29 @@ from vtt.groups import cyclic, mult_order, units
 from vtt.perm import isomorphic
 
 
+def walk_classes(p):
+    """Reps and sizes by the key walk under a primitive root: from each key
+    not yet visited, in ascending order, step until the cycle closes.  A
+    class of size s is a cycle of s/2 keys whose least key is its rep."""
+    half = (p - 1) // 2
+    low, high, w = enumeration._generator_table(p)
+    m = (1 << w) - 1
+    visited = bytearray(1 << (half - 1))
+    reps, sizes = array("I"), array("H")
+    rep = 0
+    while rep >= 0:
+        bits = rep
+        for size in range(2, p, 2):
+            visited[bits] = 1
+            bits = low[bits & m] ^ high[bits >> w]
+            if bits == rep:
+                break
+        reps.append(rep)
+        sizes.append(size)
+        rep = visited.find(0, rep + 1)
+    return reps, sizes
+
+
 class TestSetMask:
     def test_members_decoding(self):
         assert SetMask(11, 0b11111).members() == (1, 2, 3, 4, 5)
@@ -250,8 +273,7 @@ class TestEquivalenceClasses:
                 m.bits for m in c.members]
 
     def test_walk_memory_per_mask(self):
-        # one visited byte per key, half a byte per mask, and per class a mask
-        # and a size in arrays
+        # one block's planes, and per class a mask and a size in arrays
         tracemalloc.start()
         try:
             report = equivalence_classes(37)
@@ -260,6 +282,38 @@ class TestEquivalenceClasses:
             tracemalloc.stop()
         assert report.count == 7286
         assert peak / report.total_sets < 1
+
+    def test_memory_per_mask_at_p41(self):
+        # 2^20 masks in 32 blocks of 2^14 keys; the 26,216 classes' masks and
+        # sizes take 0.15 bytes per mask
+        tracemalloc.start()
+        try:
+            report = equivalence_classes(41)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.count == 26216
+        assert peak / report.total_sets < 0.4
+
+    @pytest.mark.parametrize("p", [p for p in range(3, 44, 2) if groups.is_prime(p)])
+    def test_same_classes_as_the_key_walk(self, p):
+        # p = 29, 31 and 37 have 2^13, 2^14 and 2^17 keys: less than, exactly
+        # and more than one block
+        reps, sizes = walk_classes(p)
+        report = equivalence_classes(p)
+        assert report.reps == reps
+        assert report.orbit_sizes == sizes
+
+    def test_inconsistent_sizes_raise(self, monkeypatch):
+        # unit 3 taken for the identity fixes every key, so every stabilizer
+        # grows and the sizes no longer add up to 2^6
+        real = enumeration._choice_images
+
+        def identity_for_3(p, a):
+            return (list(range((p - 1) // 2)), 0) if a == 3 else real(p, a)
+        monkeypatch.setattr(enumeration, "_choice_images", identity_for_3)
+        with pytest.raises(InconsistencyError, match="class sizes"):
+            equivalence_classes(13)
 
     def test_json_lines(self):
         report = equivalence_classes(3)
