@@ -300,7 +300,7 @@ def equivalence_classes(p: int, include_members: bool = False,
         plane ^= plane >> (1 << j)
         low.insert(0, plane)
     # masks fit 32 bits up to half = 32; sizes divide p - 1, below 2^16 for
-    # any p the mask budget admits
+    # any p small enough to enumerate
     reps, sizes = array("I" if half <= 32 else "Q"), array("H")
     for base in range(0, 1 << half - 1, 1 << c):
         planes = low + [ones if base >> j & 1 else 0 for j in range(c, half - 1)] + [0]
