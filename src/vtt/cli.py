@@ -134,11 +134,11 @@ def cmd_count(args) -> int:
             raise ValueError(f"{target} is not an odd prime")
         # checked just above, so phi_table's own primality test is skipped
         odd_divisors = counting.divisors(counting._odd_part(target - 1))
-        table = counting._phi_table(target, odd_divisors)
-        rows = [(target, table.class_count)]
+        rows = [(target, counting._phi_table(target, odd_divisors)[2])]
     else:
-        rows = counting.count_table(*target)
-    sys.stdout.write(counting.format_count_table(rows, args.format))
+        rows = counting.residual_table(*target)
+    # every count is checked, against the digit cap too, before the first line
+    sys.stdout.writelines(counting.residual_lines(rows, args.format))
     return EXIT_OK
 
 
@@ -156,7 +156,7 @@ def cmd_verify(args) -> int:
     formula = table.class_count
     burnside = enumeration.burnside_count(args.prime)
     formula_sizes = {size: count for count, size in table.entries.values() if count}
-    ok = formula == enumerated == burnside and formula_sizes == Counter(report.sizes())
+    ok = formula == enumerated == burnside and formula_sizes == Counter(report.orbit_sizes)
     if args.format == "json":
         print(json.dumps({"p": args.prime, "formula": formula, "enumeration": enumerated,
                           "burnside": burnside, "ok": ok}, separators=(",", ":")))

@@ -130,6 +130,49 @@ class TestCount:
         assert out == ""
         assert message in err
 
+    @pytest.mark.parametrize("arg", ["331", "331..331"])
+    def test_division_at_m1_checked_modulo_p_minus_1(self, capsys, monkeypatch, arg):
+        # with the divisors 1 and 165 alone, m = 165 divides exactly and only
+        # the step at m = 1, checked modulo 330 without forming 2^165, does not
+        monkeypatch.setattr(counting, "divisors", lambda r, *least: [1, r])
+        message = "non-exact division at p=331, m=1"
+        with pytest.raises(InconsistencyError, match=message):
+            counting.phi_table(331)
+        code, out, err = run(capsys, "count", arg)
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    # p - 1 a power of two, so the residual f is 0; then primes with 3 not
+    # dividing p - 1, whose largest residual term has at most a fifth of the
+    # bits of 2^h
+    @pytest.mark.parametrize("p", [3, 5, 17, 257, 65537, 11, 23, 29, 2003, 28571])
+    def test_count_from_the_residual(self, capsys, p):
+        code, out, _ = run(capsys, "count", str(p))
+        assert code == 0
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if limit:
+            sys.set_int_max_str_digits(0)
+        try:
+            assert out == f"{p}\t{class_count(p)}\n"
+        finally:
+            if limit:
+                sys.set_int_max_str_digits(limit)
+
+    def test_range_streams_its_lines(self, monkeypatch):
+        # the 3,111 lines are about 6.3 MB, written one at a time; the rows
+        # of residuals, which every line waits for, are about 1 MB
+        with open(os.devnull, "w") as sink:
+            monkeypatch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = cli.main(["count", "3..28597", "--format", "json"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 3 * 2**20
+
     @pytest.mark.parametrize("fmt, want", [("tsv", ""), ("json", "[]\n")])
     def test_range_without_primes(self, capsys, fmt, want):
         assert run(capsys, "count", "8..10", "--format", fmt) == (0, want, "")

@@ -209,6 +209,19 @@ class TestCountTable:
         rows.append((28597, class_count(28597)))
         assert format_count_table(rows, fmt) == reference_rendering(rows, fmt)
 
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_format_at_the_split_points(self, fmt):
+        # residuals f = count * (p - 1) - 2^h of each sign at the lengths where
+        # the decimal conversion splits, or stops splitting, at a power of two
+        d = 28596
+        rows = []
+        for bits in (1024, 1025, 2048, 2049, 4097, 14000):
+            for f in ((1 << bits) - 1, -(1 << bits - 1)):
+                count = ((1 << d // 2) + f) // d
+                assert (count * d - (1 << d // 2)).bit_length() == bits
+                rows.append((d + 1, count))
+        assert format_count_table(rows, fmt) == reference_rendering(rows, fmt)
+
     def test_format_descending_and_large_primes(self):
         rows = count_table(2900, 3000)[::-1] + [(p, class_count(p)) for p in (100003, 200003)]
         rows += count_table(3, 50)
