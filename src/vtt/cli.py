@@ -132,9 +132,7 @@ def cmd_count(args) -> int:
         counting.check_digit_cap(target)  # before trial division, slow on huge p
         if not is_prime(target):
             raise ValueError(f"{target} is not an odd prime")
-        # checked just above, so phi_table's own primality test is skipped
-        odd_divisors = counting.divisors(counting._odd_part(target - 1))
-        rows = [(target, counting._phi_table(target, odd_divisors)[2])]
+        rows = [(target, counting.residual(target))]
     else:
         rows = counting.residual_table(*target)
     # every count is checked, against the digit cap too, before the first line

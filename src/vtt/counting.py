@@ -124,11 +124,15 @@ def check_digit_cap(p: int) -> None:
                              f"{MAX_COUNT_DIGITS} decimal digits")
 
 
+def residual(p: int) -> int:
+    """`_phi_table`'s residual f for a p known to be an odd prime."""
+    return _phi_table(p, divisors(_odd_part(p - 1)))[2]
+
+
 def class_count(p: int) -> int:
     """Number of isomorphism classes of vertex-transitive tournaments of order p."""
     _check_odd_prime(p)
-    f = _phi_table(p, divisors(_odd_part(p - 1)))[2]
-    return ((1 << (p - 1) // 2) + f) // (p - 1)
+    return ((1 << (p - 1) // 2) + residual(p)) // (p - 1)
 
 
 def _least_factors(n: int) -> array:

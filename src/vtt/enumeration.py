@@ -8,14 +8,12 @@ are exactly the isomorphism classes of the corresponding Cayley tournaments.
 smallest mask is a key, a mask with the top bit clear that stands for itself
 and its complement.  A key is its class's smallest mask iff no unit takes it
 to a smaller key; that test runs bit-sliced, on 2^14 keys per big-int
-operation, and only each class's smallest mask and size are kept.  Members
-are walked again on demand: Z_p^* is cyclic, so a class is the orbit of one
-primitive root, and the fold to keys is linear, so a key steps by two table
-lookups.  A listing line spells a mask's members by three lookups in tables
-built once per p, keyed by the low and the high half of the choice bits: the
-low half's members below p/2, the high half's members, then the low half's
-members above p/2, which is ascending order.  Burnside's count is a second,
-independent oracle.
+operation, and only each class's smallest mask and size are kept.  A class's
+members are found again by the same action, as its smallest mask's images
+under every unit, folded to keys by two table lookups each, and listed by
+three lookups in tables keyed by the low and the high half of the choice
+bits: the low half's members below p/2, the high half's, then the low half's
+above p/2, ascending.  Burnside's count is a second, independent oracle.
 """
 
 from __future__ import annotations
@@ -162,23 +160,23 @@ def _act_table(p: int, a: int) -> tuple[list[int], list[int], int]:
 
 
 @cache
-def _generator_table(p: int) -> tuple[list[int], list[int], int]:
-    """The act tables of p's smallest primitive root, each entry x folded to
-    its key min(x, x ^ ones)."""
+def _unit_tables(p: int) -> list[tuple[list[int], ...]]:
+    """The act tables (low, high) of every unit 2..(p-1)/2, each entry x folded
+    to its key min(x, x ^ ones)."""
     ones = (1 << (p - 1) // 2) - 1
-    low, high, w = _act_table(p, primitive_root(p))
-    return [min(x, x ^ ones) for x in low], [min(x, x ^ ones) for x in high], w
+    return [tuple([min(x, x ^ ones) for x in t] for t in _act_table(p, a)[:2])
+            for a in range(2, (p - 1) // 2 + 1)]
 
 
-def _orbit(p: int, bits: int) -> list[int]:
-    """The class of mask bits: its keys in walk order, then their complements."""
-    low, high, w = _generator_table(p)
-    ones, m = (1 << (p - 1) // 2) - 1, (1 << w) - 1
-    rep = bits = min(bits, bits ^ ones)
-    keys = [rep]
-    while (bits := low[bits & m] ^ high[bits >> w]) != rep:
-        keys.append(bits)
-    return keys + [k ^ ones for k in keys]
+def _class_masks(p: int, bits: int) -> list[int]:
+    """The class of mask bits, ascending: the key of bits with its images under
+    every unit 2..(p-1)/2, folded (a and -a fold alike; the set drops repeats),
+    then their complements, which have the top bit set, in reverse order."""
+    ones, w = (1 << (p - 1) // 2) - 1, (p + 1) // 4  # w as in _act_table
+    key = min(bits, bits ^ ones)
+    lo, hi = key & (1 << w) - 1, key >> w
+    keys = sorted({key, *[low[lo] ^ high[hi] for low, high in _unit_tables(p)]})
+    return keys + [k ^ ones for k in reversed(keys)]
 
 
 def act(a: int, s: SetMask) -> SetMask:
@@ -215,10 +213,10 @@ class ClassInfo:
 
     @property
     def members(self) -> tuple[SetMask, ...] | None:
-        """The whole class ascending by mask if listed, else None; walked on each call."""
+        """The whole class ascending by mask if listed, else None; found on each call."""
         if not self.listed:
             return None
-        return tuple(SetMask(self.rep.p, b) for b in sorted(_orbit(self.rep.p, self.rep.bits)))
+        return tuple(SetMask(self.rep.p, b) for b in _class_masks(self.rep.p, self.rep.bits))
 
 
 @dataclass(frozen=True)
@@ -245,9 +243,6 @@ class ClassReport:
     def count(self) -> int:
         return len(self.reps)
 
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(sorted(self.orbit_sizes))
-
     def json_lines(self) -> Iterator[str]:
         """One compact JSON line per class, produced as it is iterated."""
         p, a, listed = self.p, (self.p - 1) // 4, self.listed
@@ -258,7 +253,7 @@ class ClassReport:
         for rep, size in zip(self.reps, self.orbit_sizes):
             if listed:
                 members = ',"members":[[' + "],[".join(
-                    below[b & m] + high[b >> a] + above[b & m] for b in sorted(_orbit(p, rep))) + "]]"
+                    below[b & m] + high[b >> a] + above[b & m] for b in _class_masks(p, rep)) + "]]"
             lo = rep & m
             yield f'{head}{below[lo]}{high[rep >> a]}{above[lo]}],"size":{size}{members}}}'
 

@@ -75,7 +75,9 @@ def units(n: int) -> list[int]:
 
 
 def mult_order(a: int, n: int) -> int:
-    """Smallest t >= 1 with a^t = 1 (mod n)."""
+    """Smallest t >= 1 with a^t = 1 (mod n), for a modulus n >= 2."""
+    if n < 2:
+        raise ValueError(f"mult_order requires a modulus >= 2, got {n}")
     a %= n
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit mod {n}")

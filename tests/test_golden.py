@@ -36,6 +36,10 @@ LARGE_LISTINGS = {
     "classes 41": "0b68d4d2c6e312e131ab3754b719c93317ee40d4a821a2f310fd33af36b8085d",
     "classes 43": "9a8e69d7fc06cde83d97059c2f1ea8a9dae7d4ce61d88eaf8c12cf440db58555",
     "classes 29 --members": "479fc5d0b877f2d9703a9f5f87121e98fc0fa843a6359f2c5ce538ca8e72b39b",
+    # sizes 2, 6, 10 and 30
+    "classes 31 --members": "521bbf9a9ddb01be9da07bb894d4a0f320dd75d6e906c51571e952c6fcb642fc",
+    # sizes 4, 12 and 36, over 8 blocks of keys
+    "classes 37 --members": "006242c8c3f8e1e6c59c29232299892980128ad958ba3d07ba2b0ff1293d892d",
     "count 3..28597": "7fe6222b2c81912f01ff68dc4f0139b9ac18f1adde9e4341e4eb5513765f7064",
     "count 3..28597 --format json":
         "a732b0e8835b8851851a96d93f6172cba20075c5df71610e39e20e450737cb00",

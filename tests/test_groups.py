@@ -39,6 +39,14 @@ def test_mult_order_requires_unit():
         mult_order(2, 4)
 
 
+@pytest.mark.parametrize("a, n", [(5, 1), (0, 1), (2, -3), (1, 0)])
+def test_mult_order_rejects_small_modulus(a, n):
+    # mod 1 every power is 0 and mod a negative n every power is at most 0,
+    # so a walk of powers waiting for 1 never ends; mod 0 it divides by zero
+    with pytest.raises(ValueError, match="modulus"):
+        mult_order(a, n)
+
+
 @pytest.mark.parametrize("n", [7, 11, 12, 13, 25, 31])
 def test_order_divides_unit_group_order(n):
     count = len(units(n))

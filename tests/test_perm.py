@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from vtt.enumeration import SetMask, _orbit, equivalence_classes, unit_multiplier
+from vtt.enumeration import SetMask, _class_masks, equivalence_classes, unit_multiplier
 from vtt.errors import InconsistencyError, SizeLimitError
 from vtt.graphs import (
     Digraph, cayley_digraph, cycle, k_cube, kneser, parse_graph_text, petersen, relabel,
@@ -310,10 +310,10 @@ class TestAutomorphisms:
         else:  # mask 0 and seeded masks, with the Paley tournament where p = 3 mod 4
             rng = random.Random(p)
             masks = {0, *(rng.getrandbits((p - 1) // 2) for _ in range(3))}
-            sizes = {bits: len(_orbit(p, bits)) for bits in masks}
+            sizes = {bits: len(_class_masks(p, bits)) for bits in masks}
             if p % 4 == 3:
                 paley = SetMask.from_members(p, {x * x % p for x in range(1, p)}).bits
-                assert len(_orbit(p, paley)) == 2
+                assert len(_class_masks(p, paley)) == 2
                 sizes[paley] = 2
         for bits, size in sizes.items():
             g = circulant_tournament(p, bits)
